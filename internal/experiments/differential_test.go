@@ -25,28 +25,34 @@ type diffRun struct {
 }
 
 // differentialJobs is the cross-engine spec matrix the differential golden
-// pins: the Figure 9 grid (both out-of-order presets, the KILO machine, and
-// the default D-KIP over every benchmark) plus the Figure 10 scheduler
-// variants on two FP workloads — every pre-engine-refactor code path of the
-// two original models, at QuickScale so the records match the quick-artifact
-// scale the golden was extracted from.
-func differentialJobs() []job {
+// pins, in two batches: the Figure 9 grid (both out-of-order presets, the
+// KILO machine, and the default D-KIP over every benchmark), then the
+// Figure 10 scheduler variants on two FP workloads — every
+// pre-engine-refactor code path of the two original models, at QuickScale
+// so the records match the quick-artifact scale the golden was extracted
+// from.
+//
+// The batches must run in this order. Figure 10's OOO-40/MP-INO point is
+// the default D-KIP, so on swim and applu it shares a content key with a
+// Figure 9 spec, and the record carries the config name of whichever spec
+// registered the key first. The golden, from an artifact where Figure 9
+// ran first, names it DKIP-2048.
+func differentialJobs() (fig9, fig10 []job) {
 	s := QuickScale()
-	var jobs []job
 	for _, a := range fig9Configs() {
 		for _, b := range workload.Names() {
-			jobs = append(jobs, a.mk(b, s))
+			fig9 = append(fig9, a.mk(b, s))
 		}
 	}
 	for _, cp := range cpPoints {
 		for _, mp := range mpPoints {
 			cfg := dkipSched(cp, mp)
 			for _, b := range []string{"swim", "applu"} {
-				jobs = append(jobs, runDKIP(cfg.Name+"/"+b, b, cfg, s))
+				fig10 = append(fig10, runDKIP(cfg.Name+"/"+b, b, cfg, s))
 			}
 		}
 	}
-	return jobs
+	return fig9, fig10
 }
 
 // TestDifferentialGolden is the cross-engine refactor gate: simulating the
@@ -64,14 +70,21 @@ func TestDifferentialGolden(t *testing.T) {
 		t.Skip("differential matrix simulates ~130 quick-scale runs")
 	}
 
-	jobs := differentialJobs()
-	specs := make([]sim.RunSpec, len(jobs))
-	for i, j := range jobs {
-		specs[i] = j.spec
-	}
-	results, err := sim.NewRunner().RunAll(specs)
-	if err != nil {
-		t.Fatal(err)
+	fig9, fig10 := differentialJobs()
+	runner := sim.NewRunner()
+	var jobs []job
+	var results []*sim.Result
+	for _, batch := range [][]job{fig9, fig10} {
+		specs := make([]sim.RunSpec, len(batch))
+		for i, j := range batch {
+			specs[i] = j.spec
+		}
+		res, err := runner.RunAll(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, batch...)
+		results = append(results, res...)
 	}
 
 	got := make([]diffRun, len(results))

@@ -16,12 +16,7 @@
 // cost of the very structure (a kilo-entry CAM) the D-KIP exists to avoid.
 package kilo
 
-import (
-	"dkip/internal/ooo"
-	"dkip/internal/pipeline"
-	"dkip/internal/sample"
-	"dkip/internal/trace"
-)
+import "dkip/internal/ooo"
 
 // DefaultSLIQSize is the slow-lane capacity of the KILO-1024 configuration.
 const DefaultSLIQSize = 1024
@@ -44,19 +39,4 @@ func Config(sliqSize int) ooo.Config {
 		SLIQTimer:         16,
 		CheckpointPenalty: 8,
 	}
-}
-
-// New builds the KILO-1024 processor behind the shared engine interface:
-// the KILO machine is a configuration of the out-of-order engine, not a
-// distinct model, and callers only need what the interface offers.
-func New() sample.Engine { return ooo.New(Config1024()) }
-
-// Run is a convenience wrapper: build a KILO-1024 machine, warm its caches
-// for the workload, and simulate warmup+measure committed instructions.
-func Run(g trace.Generator, warm interface{ WarmRanges() [][2]uint64 }, warmup, measure uint64) *pipeline.Stats {
-	p := New()
-	if warm != nil {
-		p.Hierarchy().Warm(warm.WarmRanges())
-	}
-	return p.Run(g, warmup, measure)
 }

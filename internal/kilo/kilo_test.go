@@ -47,14 +47,3 @@ func TestKILOBeatsSmallWindowOnMLP(t *testing.T) {
 		t.Errorf("KILO-1024 (%.3f) should far exceed R10-64 (%.3f) on streaming FP", kilo, base)
 	}
 }
-
-func TestRunHelper(t *testing.T) {
-	g := workload.MustNew("gzip")
-	st := Run(g, g, 2000, 8000)
-	if st.Committed < 8000 {
-		t.Errorf("committed %d", st.Committed)
-	}
-	if st.IPC() <= 0 {
-		t.Error("non-positive IPC")
-	}
-}

@@ -1,10 +1,10 @@
 package sample
 
 import (
-	"fmt"
 	"math"
 
 	"dkip/internal/ckpt"
+	"dkip/internal/isa"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/trace"
@@ -30,10 +30,12 @@ type Engine interface {
 type Config struct {
 	// Bench names the workload, stamped into captured checkpoints.
 	Bench string
-	// NewEngine builds a fresh processor; called once for the functional
-	// cursor and once per detailed interval.
+	// NewEngine builds a fresh processor; called for the functional cursor
+	// (again after a checkpoint hit drops it) and once per detailed
+	// interval.
 	NewEngine func() Engine
-	// NewGen builds a fresh generator positioned at stream start.
+	// NewGen builds a fresh generator positioned at stream start. Run calls
+	// it once: that generator produces every instruction the run reads.
 	NewGen func() trace.Generator
 	// WarmRanges is the workload's footprint, walked through the cursor's
 	// caches before functional warming — the same pre-warm a full run gets.
@@ -48,7 +50,8 @@ type Config struct {
 	// any remaining zero fields with an unknown window.
 	Plan Plan
 	// Load fetches a previously stored checkpoint for a stream position,
-	// or nil. Optional.
+	// or nil. A checkpoint of any other position counts as a miss.
+	// Optional.
 	Load func(pos uint64) *ckpt.Checkpoint
 	// Store persists a freshly captured checkpoint. Optional.
 	Store func(c *ckpt.Checkpoint)
@@ -100,9 +103,11 @@ func (s *Summary) Reduction() float64 {
 // Run executes a sampled simulation: a functional cursor sweeps the stream
 // warming caches and predictors, architectural checkpoints are captured (or
 // reloaded) at each interval start, and a fresh engine measures each
-// interval in detail from the checkpointed state. The aggregate Stats sum
-// the measured intervals, so downstream consumers (tables, CSV, JSON) read
-// them exactly like full-run stats.
+// interval in detail from the checkpointed state. The stream is walked once:
+// one generator serves the cursor, the skips past reloaded intervals and
+// the detailed reads (see tape). The aggregate Stats sum the measured
+// intervals, so downstream consumers (tables, CSV, JSON) read them exactly
+// like full-run stats.
 func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 	var io IO
 	plan := c.Plan.Complete(c.Warmup, c.Measure, 0)
@@ -113,80 +118,62 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 	stride := c.Measure / k
 
 	// The functional cursor is built lazily: a resumed run that finds every
-	// checkpoint in the store never pays for fast-forwarding at all. On a
-	// miss the cursor continues from the most recent known state — its own,
-	// or the last loaded checkpoint.
+	// checkpoint in the store never pays for functional warming at all. It
+	// sits at the walk's position whenever it exists; a checkpoint hit
+	// drops it, and the next miss seats a fresh one from the last
+	// checkpoint, which was taken at the walk's position too.
 	var (
-		cursor    Engine
-		cursorGen trace.Generator
-		cursorPos uint64
-		lastCk    *ckpt.Checkpoint
+		// Every detailed interval reads at least its warmup and measured
+		// instructions ahead of the walk; sizing the tape for them up front
+		// spares the growth copies that would otherwise raise peak memory.
+		walk   = &tape{gen: c.NewGen(), kept: make([]isa.Instr, 0, plan.Warmup+plan.Interval)}
+		cursor Engine
+		lastCk *ckpt.Checkpoint
 	)
-	seat := func(pos uint64) error {
-		if cursor == nil {
-			cursor = c.NewEngine()
-			cursorGen = c.NewGen()
-			if lastCk != nil && lastCk.Pos <= pos {
-				if err := cursor.RestoreArch(lastCk); err != nil {
-					return err
-				}
-				skip(cursorGen, lastCk.Pos)
-				cursorPos = lastCk.Pos
-			} else {
-				cursor.Hierarchy().Warm(c.WarmRanges)
-			}
-		}
-		if cursorPos > pos {
-			return fmt.Errorf("sample: cursor at %d past interval start %d", cursorPos, pos)
-		}
-		cursor.WarmFunctional(cursorGen, pos-cursorPos)
-		cursorPos = pos
-		return nil
-	}
-
 	agg := &pipeline.Stats{}
 	cpis := make([]float64, 0, plan.Intervals)
 	for i := uint64(0); i < k; i++ {
 		pos := c.Warmup + i*stride
 		var ck *ckpt.Checkpoint
 		if c.Load != nil {
-			ck = c.Load(pos)
+			// A checkpoint of another position cannot seat the walk.
+			if ck = c.Load(pos); ck != nil && ck.Pos != pos {
+				ck = nil
+			}
 		}
 		if ck != nil {
 			io.Hits++
-			// Remember it so a later miss warms forward from here rather
-			// than from stream start.
-			if lastCk == nil || ck.Pos > lastCk.Pos {
-				lastCk = ck
-			}
-			if cursor != nil && cursorPos <= ck.Pos {
-				// The cursor fell behind a stored checkpoint; drop it and
-				// reseat lazily if another miss comes.
-				cursor = nil
-			}
+			cursor = nil
+			walk.skip(pos - walk.pos)
 		} else {
 			io.Misses++
-			if err := seat(pos); err != nil {
-				return nil, nil, io, err
+			if cursor == nil {
+				cursor = c.NewEngine()
+				if lastCk != nil {
+					if err := cursor.RestoreArch(lastCk); err != nil {
+						return nil, nil, io, err
+					}
+				} else {
+					cursor.Hierarchy().Warm(c.WarmRanges)
+				}
 			}
+			cursor.WarmFunctional(walk, pos-walk.pos)
 			var err error
 			if ck, err = cursor.CaptureArch(c.Bench, pos); err != nil {
 				return nil, nil, io, err
 			}
-			lastCk = ck
 			if c.Store != nil {
 				c.Store(ck)
 				io.Writes++
 			}
 		}
+		lastCk = ck
 
 		eng := c.NewEngine()
 		if err := eng.RestoreArch(ck); err != nil {
 			return nil, nil, io, err
 		}
-		g := c.NewGen()
-		skip(g, pos)
-		st := eng.Run(g, plan.Warmup, plan.Interval)
+		st := eng.Run(walk.read(), plan.Warmup, plan.Interval)
 		accumulate(agg, st)
 		cpis = append(cpis, float64(st.Cycles)/float64(st.Committed))
 	}
@@ -203,14 +190,6 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		CPICI95:        tCritical95(plan.Intervals-1) * sd / math.Sqrt(float64(plan.Intervals)),
 	}
 	return agg, sum, io, nil
-}
-
-// skip advances g by n instructions. Generators are deterministic and cheap,
-// so positioning is replay, not seeking.
-func skip(g trace.Generator, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		g.Next()
-	}
 }
 
 // accumulate folds one interval's stats into the aggregate: counters add,

@@ -75,6 +75,7 @@ type Registry struct {
 
 	mu   sync.Mutex
 	stop chan struct{} // non-nil while a heartbeat loop runs
+	done chan struct{} // closed once the latest heartbeat loop has exited
 }
 
 // NewRegistry builds a registry over the fleet's shared store. self is the
@@ -106,9 +107,10 @@ func (r *Registry) Announce() error {
 
 // Heartbeat announces immediately, then renews the lease every TTL/3 from
 // a background goroutine until Leave (or the returned stop function) is
-// called. Renewal failures are reported through onErr (nil to ignore) and
-// retried on the next beat — a transiently unwritable store costs
-// freshness, not membership, until the lease actually expires.
+// called; both return only once that goroutine has exited, so no renewal
+// follows them. Renewal failures are reported through onErr (nil to
+// ignore) and retried on the next beat — a transiently unwritable store
+// costs freshness, not membership, until the lease actually expires.
 func (r *Registry) Heartbeat(onErr func(error)) (stop func()) {
 	if err := r.Announce(); err != nil && onErr != nil {
 		onErr(err)
@@ -119,10 +121,11 @@ func (r *Registry) Heartbeat(onErr func(error)) (stop func()) {
 		r.mu.Unlock()
 		return func() {}
 	}
-	ch := make(chan struct{})
-	r.stop = ch
+	quit, done := make(chan struct{}), make(chan struct{})
+	r.stop, r.done = quit, done
 	r.mu.Unlock()
 	go func() {
+		defer close(done)
 		ticker := time.NewTicker(r.ttl / 3)
 		defer ticker.Stop()
 		for {
@@ -131,7 +134,7 @@ func (r *Registry) Heartbeat(onErr func(error)) (stop func()) {
 				if err := r.Announce(); err != nil && onErr != nil {
 					onErr(err)
 				}
-			case <-ch:
+			case <-quit:
 				return
 			}
 		}
@@ -139,12 +142,20 @@ func (r *Registry) Heartbeat(onErr func(error)) (stop func()) {
 	return func() { r.stopHeartbeat() }
 }
 
+// stopHeartbeat stops the heartbeat loop and returns only once it has
+// exited, so no beat can renew the lease afterwards: one already inside
+// Announce, or a pending tick the loop's select picks over the closed stop
+// channel, would otherwise rewrite a lease Leave is about to delete.
 func (r *Registry) stopHeartbeat() {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.stop != nil {
 		close(r.stop)
 		r.stop = nil
+	}
+	done := r.done
+	r.mu.Unlock()
+	if done != nil {
+		<-done
 	}
 }
 

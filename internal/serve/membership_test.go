@@ -82,6 +82,34 @@ func TestRegistryHeartbeatKeepsLeaseFresh(t *testing.T) {
 	}
 }
 
+// Leave must not return while the heartbeat can still write the lease: a
+// beat already inside Announce, or a pending tick, would rewrite the lease
+// Leave deleted and keep a departed daemon in the fleet view for a TTL. A
+// short TTL makes beats frequent enough to overlap Leave on most cycles.
+func TestRegistryLeaveStopsHeartbeat(t *testing.T) {
+	store, err := sim.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRegistry(store, "http://a:1", 3*time.Millisecond)
+	present := 0
+	const cycles = 300
+	for i := 0; i < cycles; i++ {
+		r.Heartbeat(func(err error) { t.Errorf("heartbeat: %v", err) })
+		time.Sleep(2 * time.Millisecond)
+		if err := r.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+		if _, ok := store.GetBlob(membersKind, memberKey(r.Self())); ok {
+			present++
+		}
+	}
+	if present > 0 {
+		t.Errorf("member blob present after %d of %d Leaves", present, cycles)
+	}
+}
+
 // GET /v1/members answers 404 on a daemon without membership configured —
 // the backward-compatibility signal Pool keys off — and serves the view
 // when one is attached.

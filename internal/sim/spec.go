@@ -223,8 +223,8 @@ func (s RunSpec) NewEngine() sample.Engine {
 // low-level, uncached entry point: the Runner uses it with the spec's named
 // workload, and cmd/dkipsim uses it directly for trace-driven runs whose
 // source is not a registered benchmark. The spec's sampling plan is ignored
-// here — sampled runs need a restartable stream and go through
-// SimulateSampled.
+// here — sampled runs build their stream from the spec's benchmark and go
+// through SimulateSampled.
 func Simulate(s RunSpec, g trace.Generator, warm [][2]uint64) *pipeline.Stats {
 	p := s.NewEngine()
 	if warm != nil {

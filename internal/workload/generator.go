@@ -67,6 +67,14 @@ type Benchmark struct {
 	lastLoadDest        isa.Reg
 
 	emitted uint64
+
+	// Per-profile constants of the dynamic stream, computed once by derive
+	// with the float operations Next would otherwise repeat per instruction.
+	bodyW  [7]float64 // body slot kinds: load, store, int ALU, int mul, FP add, FP mul, FP div
+	patW   [4]float64 // load address patterns: stream, stride, hot, chase
+	pDep   float64    // 1/MeanDepDist, the dependence-distance probability
+	pChain float64    // 1/ChaseChainLen, the chase-chain length probability
+	hotZ   xrand.Zipf // reuse skew over the hot region's 8-byte words
 }
 
 var _ trace.Generator = (*Benchmark)(nil)
@@ -97,8 +105,26 @@ func NewFromProfile(p Profile) (*Benchmark, error) {
 	}
 	b := &Benchmark{prof: p}
 	b.buildStatic()
+	b.derive()
 	b.Reset()
 	return b, nil
+}
+
+// derive computes the per-profile constants Next draws with.
+func (b *Benchmark) derive() {
+	p := &b.prof
+	// Profile fractions are of all instructions; body slots exclude the
+	// one branch per block, so rescale loads and stores accordingly.
+	bodyLoad := p.LoadFrac / (1 - p.BranchFrac)
+	bodyStore := p.StoreFrac / (1 - p.BranchFrac)
+	cs := computeScale(p)
+	b.bodyW = [7]float64{bodyLoad, bodyStore,
+		p.IntALUW * cs, p.IntMulW * cs,
+		p.FPAddW * cs, p.FPMulW * cs, p.FPDivW * cs}
+	b.patW = [4]float64{p.PatStream, p.PatStride, p.PatHot, p.PatChase}
+	b.pDep = 1 / p.MeanDepDist
+	b.pChain = 1 / float64(p.ChaseChainLen)
+	b.hotZ = xrand.NewZipf(int(p.HotBytes/8), 0.9)
 }
 
 // Profile returns the profile the generator was built from.
@@ -210,7 +236,7 @@ func (b *Benchmark) pickSrc(fp bool) isa.Reg {
 	if fp {
 		ring = b.recentFP
 	}
-	d := b.rng.Geometric(1 / b.prof.MeanDepDist)
+	d := b.rng.Geometric(b.pDep)
 	if d > len(ring) {
 		d = len(ring)
 	}
@@ -239,7 +265,7 @@ func (b *Benchmark) allocDest(fp bool) isa.Reg {
 // loadAddr picks the next load address and the address-base register
 // according to the profile's pattern mixture.
 func (b *Benchmark) loadAddr() (addr uint64, base isa.Reg, chase bool) {
-	pat := b.rng.Pick([]float64{b.prof.PatStream, b.prof.PatStride, b.prof.PatHot, b.prof.PatChase})
+	pat := b.rng.Pick(b.patW[:])
 	switch pat {
 	case 0: // streaming
 		b.seqAddr += 8
@@ -254,7 +280,7 @@ func (b *Benchmark) loadAddr() (addr uint64, base isa.Reg, chase bool) {
 		}
 		return b.strideAddr, baseReg, false
 	case 2: // hot, cache-resident region with Zipf-skewed reuse
-		off := uint64(b.rng.Zipf(int(b.prof.HotBytes/8), 0.9)) * 8
+		off := uint64(b.hotZ.Sample(b.rng)) * 8
 		return hotBase + off, baseReg, false
 	default:
 		// Pointer chase: within a chain the address register is the
@@ -268,7 +294,7 @@ func (b *Benchmark) loadAddr() (addr uint64, base isa.Reg, chase bool) {
 			// New traversal: the head pointer (a global, an array
 			// slot indexed by an induction variable) is ready early,
 			// so separate chains can overlap.
-			b.chaseLeft = b.rng.Geometric(1 / float64(b.prof.ChaseChainLen))
+			b.chaseLeft = b.rng.Geometric(b.pChain)
 			return addr, baseReg, true
 		}
 		b.chaseLeft--
@@ -305,14 +331,7 @@ func (b *Benchmark) Next() isa.Instr {
 // body generates one non-branch instruction at the given PC.
 func (b *Benchmark) body(pc uint64) isa.Instr {
 	p := &b.prof
-	// Profile fractions are of all instructions; body slots exclude the
-	// one branch per block, so rescale loads and stores accordingly.
-	bodyLoad := p.LoadFrac / (1 - p.BranchFrac)
-	bodyStore := p.StoreFrac / (1 - p.BranchFrac)
-	cs := computeScale(p)
-	kind := b.rng.Pick([]float64{bodyLoad, bodyStore,
-		p.IntALUW * cs, p.IntMulW * cs,
-		p.FPAddW * cs, p.FPMulW * cs, p.FPDivW * cs})
+	kind := b.rng.Pick(b.bodyW[:])
 	switch kind {
 	case 0: // load
 		addr, base, chase := b.loadAddr()
@@ -382,7 +401,7 @@ func (b *Benchmark) storeAddr() (addr uint64, base isa.Reg, chase bool) {
 		}
 		return b.seqAddr, baseReg, false
 	}
-	off := uint64(b.rng.Zipf(int(b.prof.HotBytes/8), 0.9)) * 8
+	off := uint64(b.hotZ.Sample(b.rng)) * 8
 	return hotBase + off, baseReg, false
 }
 

@@ -120,13 +120,27 @@ func (r *Rand) Pick(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Zipf samples from a Zipf-like distribution over [0, n) with exponent s,
-// using rejection-free inverse-CDF over a precomputed table when n is small
-// is overkill here; instead we use the standard two-level approximation that
-// is adequate for address-stream skew: rank = floor(n * u^(1/(1-s))) clamped.
-// For s near 1 this still concentrates mass on low ranks, which is the only
-// property the workload models rely on.
-func (r *Rand) Zipf(n int, s float64) int {
+// Zipf is a Zipf-like distribution over [0, n) with exponent s. Rather
+// than an exact inverse CDF over a precomputed table, which is overkill
+// here, it uses the standard two-level approximation that is adequate for
+// address-stream skew: rank = floor(n * u^(1/(1-s))) clamped. For s near 1
+// this still concentrates mass on low ranks, which is the only property the
+// workload models rely on. A Zipf holds the constants every draw shares, so
+// a draw costs one math.Pow.
+type Zipf struct {
+	n   int
+	exp float64 // 1/(1-s)
+	x   float64 // n^(1-s)
+}
+
+// NewZipf prepares the distribution over [0, n) with exponent s.
+func NewZipf(n int, s float64) Zipf {
+	return Zipf{n: n, exp: 1.0 / (1.0 - s), x: math.Pow(float64(n), 1.0-s)}
+}
+
+// Sample draws one rank from z using r.
+func (z *Zipf) Sample(r *Rand) int {
+	n := z.n
 	if n <= 1 {
 		return 0
 	}
@@ -135,9 +149,7 @@ func (r *Rand) Zipf(n int, s float64) int {
 		u = 0.5 / float64(n)
 	}
 	// Inverse of the continuous Pareto CDF restricted to [1, n].
-	exp := 1.0 / (1.0 - s)
-	x := math.Pow(float64(n), 1.0-s)
-	v := math.Pow(u*(x-1.0)+1.0, exp)
+	v := math.Pow(u*(z.x-1.0)+1.0, z.exp)
 	idx := int(v) - 1
 	if idx < 0 {
 		idx = 0

@@ -152,9 +152,10 @@ func TestPickPanicsOnNoWeight(t *testing.T) {
 func TestZipfBoundsAndSkew(t *testing.T) {
 	r := New(7)
 	const n = 64
+	z := NewZipf(n, 0.9)
 	counts := make([]int, n)
 	for i := 0; i < 100000; i++ {
-		v := r.Zipf(n, 0.9)
+		v := z.Sample(r)
 		if v < 0 || v >= n {
 			t.Fatalf("Zipf out of range: %d", v)
 		}
@@ -164,7 +165,8 @@ func TestZipfBoundsAndSkew(t *testing.T) {
 		t.Errorf("Zipf not skewed: first=%d last=%d", counts[0], counts[n-1])
 	}
 	// Degenerate sizes.
-	if r.Zipf(1, 0.9) != 0 || r.Zipf(0, 0.9) != 0 {
+	one, zero := NewZipf(1, 0.9), NewZipf(0, 0.9)
+	if one.Sample(r) != 0 || zero.Sample(r) != 0 {
 		t.Error("Zipf degenerate sizes should return 0")
 	}
 }
