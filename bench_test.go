@@ -299,6 +299,14 @@ func BenchmarkSimulatorRawOOO(b *testing.B) {
 	benchRaw(b, rawSpecs()[1])
 }
 
+// BenchmarkSimulatorRawInorder measures the C920-class in-order core
+// (inorder package) on swim, the spec cmd/bench adds to the raw set. It is
+// not part of BenchmarkSimulatorRaw's aggregate.
+func BenchmarkSimulatorRawInorder(b *testing.B) {
+	scale := benchScale()
+	benchRaw(b, sim.MustPresetSpec("inorder", "swim", scale.Warmup, scale.Measure))
+}
+
 // BenchmarkRunnerCacheHit measures the memoized fast path: after the first
 // iteration every Run is served as a deep-copied cache hit.
 func BenchmarkRunnerCacheHit(b *testing.B) {

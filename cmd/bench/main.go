@@ -15,6 +15,11 @@
 // snapshot per run and diffs its instrs/s against the published
 // BENCH_baseline.json artifact (see .github/workflows/ci.yml and the README
 // "Performance" section).
+//
+// Each entry records GOMAXPROCS and the host's CPU count: the engine
+// generates instructions on a goroutine beside the cycle loop, so
+// throughput depends on whether a second CPU is free, and only entries
+// with equal values compare.
 package main
 
 import (
@@ -40,10 +45,14 @@ type archResult struct {
 	BytesPerOp   uint64  `json:"bytes_per_op"`
 }
 
-// snapshot is one labeled benchmark run.
+// snapshot is one labeled benchmark run. GOMAXPROCS and NumCPU are absent
+// from entries written before they were recorded, and stay absent when such
+// a file is merged into.
 type snapshot struct {
 	GoVersion         string                `json:"go_version"`
 	GOARCH            string                `json:"goarch"`
+	GOMAXPROCS        int                   `json:"gomaxprocs,omitempty"`
+	NumCPU            int                   `json:"num_cpu,omitempty"`
 	Warmup            uint64                `json:"warmup"`
 	Measure           uint64                `json:"measure"`
 	Archs             map[string]archResult `json:"archs"`
@@ -69,11 +78,13 @@ func main() {
 	}
 
 	snap := snapshot{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		Warmup:    *warmup,
-		Measure:   *measure,
-		Archs:     make(map[string]archResult, len(specs)),
+		GoVersion:  runtime.Version(),
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Warmup:     *warmup,
+		Measure:    *measure,
+		Archs:      make(map[string]archResult, len(specs)),
 	}
 	var totalInstrs uint64
 	var totalElapsed time.Duration
@@ -93,8 +104,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "bench: %s: %.0f instrs/s over %d iterations\n",
-		*label, snap.TotalInstrsPerSec, *iters)
+	fmt.Fprintf(os.Stderr, "bench: %s: %.0f instrs/s over %d iterations (GOMAXPROCS %d, %d CPUs)\n",
+		*label, snap.TotalInstrsPerSec, *iters, snap.GOMAXPROCS, snap.NumCPU)
 }
 
 // measureArch simulates spec iters times through an uncached runner,

@@ -11,6 +11,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"dkip/internal/isa"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
@@ -117,7 +119,25 @@ type Engine struct {
 	measureFrom uint64 // first committed instruction counted in stats
 	targetTotal uint64 // last committed instruction counted in stats
 	scan        WakeScan
+	// pulled counts the instructions Run calls took from their generators;
+	// feed is allocated by the first call and reused.
+	pulled uint64
+	feed   *feed
 }
+
+// MaxRunInstrs bounds warmup+measure for one Run call. Below it the cycle
+// budget, budgetPerInstr cycles per instruction on top of the current
+// cycle, stays far inside int64, and neither the phase sum nor the feed's
+// prefix length can wrap.
+const MaxRunInstrs = 1 << 40
+
+// Run's cycle budget: a run that has not committed its instructions within
+// budgetFloor + budgetPerInstr cycles per instruction is deadlocked or
+// pathologically configured.
+const (
+	budgetPerInstr = 20000
+	budgetFloor    = 10_000_000
+)
 
 // Init wires the engine's shared structures from p and binds the model. It
 // must be called exactly once, by the model's constructor, after the model
@@ -150,10 +170,21 @@ func (e *Engine) Confidence() *predictor.Confidence { return e.Conf }
 // supplies the correct-path instruction stream. Run may be called again to
 // continue the same program with warm structures.
 //
+// Run generates exactly the instructions it consumes. Every instruction it
+// commits was pulled from a generator first, and the stream is correct-path
+// only, so reaching the target pulls at least target minus what earlier Run
+// calls on this engine pulled. A producer goroutine generates exactly that
+// prefix ahead of the cycle loop; past it the engine calls g itself. The
+// two never use g at the same time, and a panic in g is re-raised here with
+// the same value.
+//
 //dkip:hotpath
 func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats {
 	if measure == 0 {
 		panic(e.P.Family + ": Run with zero measurement length")
+	}
+	if warmup > MaxRunInstrs || measure > MaxRunInstrs-warmup {
+		panic(fmt.Sprintf("%s: Run of %d+%d instructions exceeds MaxRunInstrs (%d)", e.P.Family, warmup, measure, uint64(MaxRunInstrs)))
 	}
 	target := e.Total + warmup + measure
 	e.measureFrom = e.Total + warmup
@@ -161,19 +192,23 @@ func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats 
 	if warmup == 0 {
 		e.beginMeasure()
 	}
-	maxCycles := e.Cycle + int64(warmup+measure)*20000 + 10_000_000
+	f := e.supply(g, target-min(target, e.pulled))
+	defer f.abort()
+	maxCycles := e.Cycle + int64(warmup+measure)*budgetPerInstr + budgetFloor
 	for e.Total < target {
 		e.DidWork = false
 		e.model.BeginCycle()
-		e.model.Stages(g)
+		e.model.Stages(f)
 		e.renameStage()
-		e.fetchStage(g)
-		e.model.EndCycle(g)
+		e.fetchStage(f)
+		e.model.EndCycle(f)
 		e.AdvanceCycle()
 		if e.Cycle > maxCycles {
+			f.abort()
 			panic(e.model.BudgetMessage(g.Name(), target))
 		}
 	}
+	e.pulled += f.finish()
 	out := e.Stats
 	out.Cycles = e.Cycle - e.statsBase
 	e.model.FinishStats(&out)

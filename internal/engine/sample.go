@@ -11,8 +11,15 @@ import (
 // predictor, confidence estimator when present — by n instructions of g
 // without simulating the pipeline. internal/sample uses this as the
 // fast-forward mode between detailed measurement intervals.
+//
+// It generates exactly n instructions, all on a producer goroutine running
+// ahead of the warming loop (see Run); a panic in g is re-raised here with
+// the same value.
 func (e *Engine) WarmFunctional(g trace.Generator, n uint64) {
-	ckpt.WarmFunctional(e.Hier, e.BP, e.Conf, g, n)
+	f := e.supply(g, n)
+	defer f.abort()
+	ckpt.WarmFunctional(e.Hier, e.BP, e.Conf, f, n)
+	f.finish()
 }
 
 // CaptureArch snapshots the architectural state into a checkpoint at stream

@@ -24,6 +24,7 @@ type streamLog struct {
 	furthest uint64 // furthest stream position any engine consumed
 	starts   []uint64
 	ends     []uint64 // per detailed interval: start and furthest read
+	diverged bool     // a mismatch was reported; later ones follow from it
 }
 
 // countingGen counts the Next calls sample.Run makes on its generator.
@@ -77,10 +78,13 @@ type checkedGen struct {
 	start uint64
 }
 
+// Next runs on the engine's feed goroutine, where t.Fatalf must not be
+// called: a mismatch is reported with t.Errorf, once per run.
 func (g *checkedGen) Next() isa.Instr {
 	in, want := g.Generator.Next(), g.ref.Next()
-	if in != want {
-		g.e.log.t.Fatalf("stream position %d: engine got %v, want %v", g.e.pos, &in, &want)
+	if in != want && !g.e.log.diverged {
+		g.e.log.diverged = true
+		g.e.log.t.Errorf("stream position %d: engine got %v, want %v", g.e.pos, &in, &want)
 	}
 	g.e.pos++
 	if g.e.pos > g.e.log.furthest {

@@ -2,14 +2,17 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dkip/internal/core"
+	"dkip/internal/engine"
 	"dkip/internal/ooo"
 	"dkip/internal/predictor"
 	"dkip/internal/sim"
@@ -152,6 +155,45 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	}
 	if m := runner.Metrics(); m.Simulated != 0 {
 		t.Errorf("invalid submissions caused %d simulations", m.Simulated)
+	}
+}
+
+// A run too long for the engine's budget arithmetic is a bad spec, not a
+// crash: both shapes that once got through (a measure that wrapped the
+// cycle budget, a warmup+measure sum that wrapped) get a 400 naming the
+// limit, and the daemon keeps serving.
+func TestSubmitRejectsOverlongRun(t *testing.T) {
+	ts, runner := newTestServer(t, nil)
+	for name, body := range map[string]string{
+		"budget wraps": `{"arch":"dkip","bench":"swim","warmup":0,"measure":4611686018427387904}`,
+		"sum wraps":    `{"arch":"dkip","bench":"swim","warmup":18446744073709551615,"measure":2}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), strconv.FormatUint(engine.MaxRunInstrs, 10)) {
+			t.Errorf("%s: error %q does not name the limit", name, msg)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"arch":"dkip","bench":"swim","warmup":500,"measure":2000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out RunsResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(out.Results) != 1 || out.Results[0].Stats.Committed != 2000 {
+		t.Fatalf("valid submission after the rejected ones: status %d, err %v, %+v", resp.StatusCode, err, out.Results)
+	}
+	if m := runner.Metrics(); m.Simulated != 1 {
+		t.Errorf("%d simulations, want only the valid one", m.Simulated)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 
 	"dkip/internal/ckpt"
 	"dkip/internal/core"
+	"dkip/internal/engine"
 	"dkip/internal/inorder"
 	"dkip/internal/ooo"
 	"dkip/internal/pipeline"
@@ -188,14 +189,19 @@ func (s RunSpec) Portable() bool {
 	return !hasOpaqueFields(desc(s.Arch).rawConfig(&s))
 }
 
-// Validate reports spec errors: unknown workload, empty scale, or an invalid
-// engine configuration.
+// Validate reports spec errors: unknown workload, empty scale, a run longer
+// than engine.MaxRunInstrs, or an invalid engine configuration.
 func (s RunSpec) Validate() error {
 	if _, ok := workload.Lookup(s.Bench); !ok {
 		return fmt.Errorf("sim: unknown benchmark %q", s.Bench)
 	}
 	if s.Measure == 0 {
 		return fmt.Errorf("sim: spec for %q measures zero instructions", s.Bench)
+	}
+	// Checked without forming the sum, which could wrap.
+	if s.Warmup > engine.MaxRunInstrs || s.Measure > engine.MaxRunInstrs-s.Warmup {
+		return fmt.Errorf("sim: spec for %q runs %d warmup + %d measured instructions, over the limit of %d (engine.MaxRunInstrs)",
+			s.Bench, s.Warmup, s.Measure, uint64(engine.MaxRunInstrs))
 	}
 	if err := s.SamplePlan().Validate(s.Measure); err != nil {
 		return fmt.Errorf("sim: %w", err)

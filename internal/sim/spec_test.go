@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dkip/internal/core"
+	"dkip/internal/engine"
 	"dkip/internal/kilo"
 	"dkip/internal/mem"
 	"dkip/internal/ooo"
@@ -117,6 +120,31 @@ func TestValidate(t *testing.T) {
 	}
 	if err := OOOSpec("swim", ooo.Config{}, 1000, 4000).Validate(); err == nil {
 		t.Error("ooo config without a ROB size accepted")
+	}
+}
+
+// TestValidateBoundsRunLength rejects the two run lengths that broke the
+// engine's arithmetic: a measure so long that the cycle budget wrapped to
+// its floor, and a warmup+measure sum that wrapped to a tiny run.
+func TestValidateBoundsRunLength(t *testing.T) {
+	limit := strconv.FormatUint(engine.MaxRunInstrs, 10)
+	for _, c := range []struct {
+		name            string
+		warmup, measure uint64
+	}{
+		{"budget-wraps", 0, 1 << 62},
+		{"sum-wraps", math.MaxUint64, 2},
+		{"just-over", 1, engine.MaxRunInstrs},
+	} {
+		err := DKIPSpec("swim", core.Config{}, c.warmup, c.measure).Validate()
+		if err == nil {
+			t.Errorf("%s: %d+%d accepted", c.name, c.warmup, c.measure)
+		} else if !strings.Contains(err.Error(), limit) {
+			t.Errorf("%s: error does not name the limit %s: %v", c.name, limit, err)
+		}
+	}
+	if err := DKIPSpec("swim", core.Config{}, engine.MaxRunInstrs/2, engine.MaxRunInstrs/2).Validate(); err != nil {
+		t.Errorf("run of exactly the limit rejected: %v", err)
 	}
 }
 

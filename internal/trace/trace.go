@@ -16,7 +16,10 @@ import (
 )
 
 // Generator produces an unbounded, deterministic instruction stream.
-// Implementations are not safe for concurrent use.
+// Implementations are not safe for concurrent use. The engine may call Next
+// from a goroutine other than the caller of Run or WarmFunctional, though
+// only one goroutine at a time, with the hand-over synchronized; so an
+// implementation must not depend on which goroutine calls it.
 type Generator interface {
 	// Next returns the next correct-path instruction.
 	Next() isa.Instr
