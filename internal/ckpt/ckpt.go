@@ -1,9 +1,10 @@
 // Package ckpt defines architectural checkpoints for sampled simulation: a
 // serializable snapshot of the state that functional warmup establishes —
-// cache contents, branch-predictor tables, the confidence estimator, and the
-// generator cursor — everything a detailed measurement interval needs to
+// cache contents, branch-predictor tables, the confidence estimator — plus
+// the stream position and, when the generator can save it, the generator's
+// own state there: everything a detailed measurement interval needs to
 // start as if the whole stream prefix had been simulated, without replaying
-// it.
+// it, and without regenerating it either.
 //
 // Checkpoints are deliberately microarchitecture-free: no pipeline, window,
 // or queue state is captured, because sampled intervals re-fill those
@@ -12,11 +13,12 @@
 // share checkpoints: the snapshot is a pure function of (workload prefix,
 // memory configuration, predictor configuration).
 //
-// The binary codec (Encode/Decode) is versioned and exact — every field is an
-// integer, so a restored engine replays bit-for-bit identically to one warmed
-// in place. That exactness is what the CI checkpoint-determinism gate relies
-// on: resuming a killed sweep from stored checkpoints must reproduce the
-// from-cold artifact byte for byte.
+// The binary codec (Encode/Decode) is versioned, checksummed and exact —
+// every field is an integer or an opaque byte string, so a restored engine
+// replays bit-for-bit identically to one warmed in place. That exactness is
+// what the CI checkpoint-determinism gate relies on: resuming a killed sweep
+// from stored checkpoints must reproduce the from-cold artifact byte for
+// byte.
 package ckpt
 
 import (
@@ -32,9 +34,10 @@ type Checkpoint struct {
 	// not interpret it; it travels with the snapshot so mismatched reuse is
 	// detectable.
 	Bench string
-	// Pos is the generator cursor: the number of instructions consumed from
-	// the start of the stream. Because generators are deterministic, the
-	// cursor alone reconstructs the stream suffix (Reset + skip).
+	// Pos is the stream position: the number of instructions consumed from
+	// the start of the stream. Gen, when present, resumes the stream there;
+	// without it the suffix is reached by regenerating the Pos instructions
+	// before it, which deterministic generators make exact but not cheap.
 	Pos uint64
 	// Hier is the cache contents (tags, valid bits, LRU clocks).
 	Hier mem.HierarchyState
@@ -46,6 +49,12 @@ type Checkpoint struct {
 	// Conf is the confidence estimator's snapshot, or nil when the engine
 	// family has no estimator (the out-of-order baselines).
 	Conf []byte
+	// Gen is the workload generator's own snapshot at Pos (for instance
+	// workload.Benchmark.SaveState), or nil when the generator that
+	// produced the stream could not save one. It leads with a fingerprint
+	// of the workload it came from, and only that workload's generator
+	// loads it. Engines neither read nor write it; internal/sample does.
+	Gen []byte
 }
 
 // WarmFunctional advances the architectural state by n instructions of g

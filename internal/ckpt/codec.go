@@ -3,32 +3,40 @@ package ckpt
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"dkip/internal/mem"
 )
 
-// Binary checkpoint format, version 1. Everything is little-endian:
+// Binary checkpoint format, version 2. Everything is little-endian:
 //
 //	header:  magic "DKCP" | version u32 | pos u64
 //	strings: bench (u32 len + bytes) | predictor name (u32 len + bytes)
 //	blobs:   predictor state (u32 len + bytes)
 //	         confidence state (presence u8, then u32 len + bytes when 1)
+//	         generator state (u32 len + bytes; length 0 when absent)
 //	caches:  L1 then L2, each: presence u8, then
 //	         size u32 | line u32 | assoc u32 | clock u64 | ways u32 |
 //	         tags ways×u64 | valid ways×u8 | lru ways×u64
+//	trailer: CRC-32C (Castagnoli) of every preceding byte, u32
 //
-// The format is self-describing enough for Decode to fail loudly on
-// truncation, corruption, or a version it does not speak — the store may
-// hold checkpoints written by an older binary.
+// Version 2 added the generator state and the trailer. The format is
+// self-describing enough for Decode to fail loudly on truncation,
+// corruption, or a version it does not speak — the store may hold
+// checkpoints written by an older binary, which then count as misses.
 const (
 	ckptMagic   = "DKCP"
-	ckptVersion = 1
+	ckptVersion = 2
 
 	// maxSection caps any single length prefix; a corrupt header must not
 	// drive a multi-gigabyte allocation.
 	maxSection = 1 << 28
+	// wayBytes is the encoded size of one cache way: tag, valid, LRU.
+	wayBytes = 8 + 1 + 8
 )
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Encode serializes a checkpoint.
 func Encode(c *Checkpoint) []byte {
@@ -45,16 +53,17 @@ func Encode(c *Checkpoint) []byte {
 	} else {
 		b = append(b, 0)
 	}
+	b = appendBytes(b, c.Gen)
 	b = appendCache(b, c.Hier.L1)
 	b = appendCache(b, c.Hier.L2)
-	return b
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
 func encodedSize(c *Checkpoint) int {
-	n := 4 + 4 + 8 + 4 + len(c.Bench) + 4 + len(c.PredName) + 4 + len(c.Pred) + 1 + 4 + len(c.Conf) + 2
+	n := 4 + 4 + 8 + 4 + len(c.Bench) + 4 + len(c.PredName) + 4 + len(c.Pred) + 1 + 4 + len(c.Conf) + 4 + len(c.Gen) + 2 + 4
 	for _, cs := range []*mem.CacheState{c.Hier.L1, c.Hier.L2} {
 		if cs != nil {
-			n += 4*4 + 8 + len(cs.Tags)*17
+			n += 4*4 + 8 + len(cs.Tags)*wayBytes
 		}
 	}
 	return n
@@ -117,6 +126,15 @@ func (d *decoder) u8() (byte, error) {
 	return b[0], nil
 }
 
+// flag reads a presence byte, which Encode writes as 0 or 1 only.
+func (d *decoder) flag() (bool, error) {
+	v, err := d.u8()
+	if err == nil && v > 1 {
+		err = d.fail("flag byte %d at byte %d", v, d.pos-1)
+	}
+	return v == 1, err
+}
+
 func (d *decoder) u32() (uint32, error) {
 	b, err := d.need(4)
 	if err != nil {
@@ -151,12 +169,9 @@ func (d *decoder) blob() ([]byte, error) {
 }
 
 func (d *decoder) cache() (*mem.CacheState, error) {
-	present, err := d.u8()
-	if err != nil {
+	present, err := d.flag()
+	if err != nil || !present {
 		return nil, err
-	}
-	if present == 0 {
-		return nil, nil
 	}
 	size, err := d.u32()
 	if err != nil {
@@ -178,8 +193,11 @@ func (d *decoder) cache() (*mem.CacheState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ways > maxSection/17 {
-		return nil, d.fail("implausible cache way count %d", ways)
+	// The ways must be there before they are allocated: a corrupt count
+	// must not drive an allocation the input cannot back.
+	if int64(ways)*wayBytes > int64(len(d.data)-d.pos) {
+		return nil, d.fail("truncated at byte %d (%d cache ways need %d bytes, %d remain)",
+			d.pos, ways, int64(ways)*wayBytes, len(d.data)-d.pos)
 	}
 	if size > math.MaxInt32 || line > math.MaxInt32 || assoc > math.MaxInt32 {
 		return nil, d.fail("implausible cache geometry %d/%d/%d", size, line, assoc)
@@ -198,12 +216,10 @@ func (d *decoder) cache() (*mem.CacheState, error) {
 			return nil, err
 		}
 	}
-	raw, err := d.need(int(ways))
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range raw {
-		cs.Valid[i] = v != 0
+	for i := range cs.Valid {
+		if cs.Valid[i], err = d.flag(); err != nil {
+			return nil, err
+		}
 	}
 	for i := range cs.LRU {
 		if cs.LRU[i], err = d.u64(); err != nil {
@@ -214,8 +230,8 @@ func (d *decoder) cache() (*mem.CacheState, error) {
 }
 
 // Decode deserializes a checkpoint written by Encode. It validates magic,
-// version, and internal structure, but not that the state fits any
-// particular engine — restore does that.
+// version, checksum, and internal structure, but not that the state fits
+// any particular engine or generator — restore does that.
 func Decode(data []byte) (*Checkpoint, error) {
 	d := &decoder{data: data}
 	magic, err := d.need(4)
@@ -232,6 +248,14 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if version != ckptVersion {
 		return nil, d.fail("unsupported version %d (speak %d)", version, ckptVersion)
 	}
+	if len(data) < d.pos+4 {
+		return nil, d.fail("truncated at byte %d (no checksum)", len(data))
+	}
+	body := len(data) - 4
+	if sum, want := crc32.Checksum(data[:body], crcTable), binary.LittleEndian.Uint32(data[body:]); sum != want {
+		return nil, d.fail("checksum %08x does not match stored %08x", sum, want)
+	}
+	d.data = data[:body]
 	c := &Checkpoint{}
 	if c.Pos, err = d.u64(); err != nil {
 		return nil, err
@@ -249,14 +273,20 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if c.Pred, err = d.blob(); err != nil {
 		return nil, err
 	}
-	present, err := d.u8()
+	present, err := d.flag()
 	if err != nil {
 		return nil, err
 	}
-	if present != 0 {
+	if present {
 		if c.Conf, err = d.blob(); err != nil {
 			return nil, err
 		}
+	}
+	if c.Gen, err = d.blob(); err != nil {
+		return nil, err
+	}
+	if len(c.Gen) == 0 {
+		c.Gen = nil
 	}
 	if c.Hier.L1, err = d.cache(); err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"dkip/internal/ckpt"
-	"dkip/internal/isa"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/trace"
@@ -36,6 +35,8 @@ type Config struct {
 	NewEngine func() Engine
 	// NewGen builds a fresh generator positioned at stream start. Run calls
 	// it once: that generator produces every instruction the run reads.
+	// When it also has SaveState and LoadState, as workload.Benchmark
+	// does, checkpoints carry its state and hits resume the stream from it.
 	NewGen func() trace.Generator
 	// WarmRanges is the workload's footprint, walked through the cursor's
 	// caches before functional warming — the same pre-warm a full run gets.
@@ -104,10 +105,14 @@ func (s *Summary) Reduction() float64 {
 // warming caches and predictors, architectural checkpoints are captured (or
 // reloaded) at each interval start, and a fresh engine measures each
 // interval in detail from the checkpointed state. The stream is walked once:
-// one generator serves the cursor, the skips past reloaded intervals and
-// the detailed reads (see tape). The aggregate Stats sum the measured
-// intervals, so downstream consumers (tables, CSV, JSON) read them exactly
-// like full-run stats.
+// one generator serves the cursor, the moves past reloaded intervals and
+// the detailed reads (see tape). When the generator NewGen returns can save
+// and load its state (SaveState and LoadState, as workload.Benchmark), each
+// captured checkpoint carries that state, and a reloaded one resumes the
+// stream from it rather than regenerating the stream up to its position.
+// Either way every instruction an engine sees is the one a plain walk would
+// give it. The aggregate Stats sum the measured intervals, so downstream
+// consumers (tables, CSV, JSON) read them exactly like full-run stats.
 func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 	var io IO
 	plan := c.Plan.Complete(c.Warmup, c.Measure, 0)
@@ -116,6 +121,10 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 	}
 	k := uint64(plan.Intervals)
 	stride := c.Measure / k
+	starts := make([]uint64, k)
+	for i := range starts {
+		starts[i] = c.Warmup + uint64(i)*stride
+	}
 
 	// The functional cursor is built lazily: a resumed run that finds every
 	// checkpoint in the store never pays for functional warming at all. It
@@ -126,14 +135,13 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		// Every detailed interval reads at least its warmup and measured
 		// instructions ahead of the walk; sizing the tape for them up front
 		// spares the growth copies that would otherwise raise peak memory.
-		walk   = &tape{gen: c.NewGen(), kept: make([]isa.Instr, 0, plan.Warmup+plan.Interval)}
+		walk   = newTape(c.NewGen(), plan.Warmup+plan.Interval)
 		cursor Engine
 		lastCk *ckpt.Checkpoint
 	)
 	agg := &pipeline.Stats{}
 	cpis := make([]float64, 0, plan.Intervals)
-	for i := uint64(0); i < k; i++ {
-		pos := c.Warmup + i*stride
+	for i, pos := range starts {
 		var ck *ckpt.Checkpoint
 		if c.Load != nil {
 			// A checkpoint of another position cannot seat the walk.
@@ -144,7 +152,7 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		if ck != nil {
 			io.Hits++
 			cursor = nil
-			walk.skip(pos - walk.pos)
+			walk.seek(pos, ck.Gen)
 		} else {
 			io.Misses++
 			if cursor == nil {
@@ -162,6 +170,7 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 			if ck, err = cursor.CaptureArch(c.Bench, pos); err != nil {
 				return nil, nil, io, err
 			}
+			ck.Gen = walk.genState()
 			if c.Store != nil {
 				c.Store(ck)
 				io.Writes++
@@ -173,7 +182,7 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		if err := eng.RestoreArch(ck); err != nil {
 			return nil, nil, io, err
 		}
-		st := eng.Run(walk.read(), plan.Warmup, plan.Interval)
+		st := eng.Run(walk.read(starts[i+1:]), plan.Warmup, plan.Interval)
 		accumulate(agg, st)
 		cpis = append(cpis, float64(st.Cycles)/float64(st.Committed))
 	}

@@ -1,8 +1,10 @@
 package sample_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"dkip/internal/ckpt"
@@ -23,8 +25,26 @@ type streamLog struct {
 	calls    uint64 // Next calls on the run's generators
 	furthest uint64 // furthest stream position any engine consumed
 	starts   []uint64
-	ends     []uint64 // per detailed interval: start and furthest read
-	diverged bool     // a mismatch was reported; later ones follow from it
+	ends     []uint64    // per detailed interval: start and furthest read
+	consumed [][2]uint64 // per engine call: the stream range it consumed
+	diverged bool        // a mismatch was reported; later ones follow from it
+}
+
+// distinct returns how many stream positions the run's engines consumed.
+func (l *streamLog) distinct() uint64 {
+	r := append([][2]uint64{}, l.consumed...)
+	sort.Slice(r, func(i, j int) bool { return r[i][0] < r[j][0] })
+	var n, end uint64
+	for _, c := range r {
+		if c[0] > end {
+			end = c[0]
+		}
+		if c[1] > end {
+			n += c[1] - end
+			end = c[1]
+		}
+	}
+	return n
 }
 
 // countingGen counts the Next calls sample.Run makes on its generator.
@@ -37,6 +57,17 @@ func (g *countingGen) Next() isa.Instr {
 	g.log.calls++
 	return g.Generator.Next()
 }
+
+// statefulGen is a countingGen that forwards the generator's state methods,
+// so sample.Run can carry the stream state in checkpoints and resume from
+// it.
+type statefulGen struct {
+	countingGen
+	b *workload.Benchmark
+}
+
+func (g *statefulGen) SaveState() ([]byte, error)  { return g.b.SaveState() }
+func (g *statefulGen) LoadState(data []byte) error { return g.b.LoadState(data) }
 
 // checkedEngine checks that every instruction the engine consumes is the
 // stream's instruction at that position, against a generator of its own.
@@ -52,7 +83,9 @@ func (e *checkedEngine) RestoreArch(c *ckpt.Checkpoint) error {
 }
 
 func (e *checkedEngine) WarmFunctional(g trace.Generator, n uint64) {
-	e.Engine.WarmFunctional(e.check(g), n)
+	c := e.check(g)
+	e.Engine.WarmFunctional(c, n)
+	e.log.consumed = append(e.log.consumed, [2]uint64{c.start, e.pos})
 }
 
 func (e *checkedEngine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats {
@@ -60,6 +93,7 @@ func (e *checkedEngine) Run(g trace.Generator, warmup, measure uint64) *pipeline
 	st := e.Engine.Run(c, warmup, measure)
 	e.log.starts = append(e.log.starts, c.start)
 	e.log.ends = append(e.log.ends, e.pos)
+	e.log.consumed = append(e.log.consumed, [2]uint64{c.start, e.pos})
 	return st
 }
 
@@ -98,9 +132,10 @@ func (g *checkedGen) Next() isa.Instr {
 type memStore map[uint64][]byte
 
 // runLogged runs spec's sampled simulation through sample.Run with checked
-// engines and a counted generator. serve picks which stored checkpoint, if
+// engines and a counted generator, which forwards the generator's state
+// methods when stateful is set. serve picks which stored checkpoint, if
 // any, a Load of pos returns.
-func runLogged(t *testing.T, spec sim.RunSpec, store memStore, serve func(pos uint64) (uint64, bool)) (*pipeline.Stats, *sample.Summary, sample.IO, *streamLog) {
+func runLogged(t *testing.T, spec sim.RunSpec, store memStore, serve func(pos uint64) (uint64, bool), stateful bool) (*pipeline.Stats, *sample.Summary, sample.IO, *streamLog) {
 	t.Helper()
 	log := &streamLog{t: t, bench: spec.Bench}
 	g := workload.MustNew(spec.Bench)
@@ -109,7 +144,11 @@ func runLogged(t *testing.T, spec sim.RunSpec, store memStore, serve func(pos ui
 		NewEngine: func() sample.Engine { return &checkedEngine{Engine: spec.NewEngine(), log: log} },
 		NewGen: func() trace.Generator {
 			log.newGens++
-			return &countingGen{Generator: workload.MustNew(spec.Bench), log: log}
+			b := workload.MustNew(spec.Bench)
+			if stateful {
+				return &statefulGen{countingGen{Generator: b, log: log}, b}
+			}
+			return &countingGen{Generator: b, log: log}
 		},
 		WarmRanges: g.WarmRanges(),
 		Warmup:     spec.Warmup,
@@ -136,30 +175,70 @@ func runLogged(t *testing.T, spec sim.RunSpec, store memStore, serve func(pos ui
 	return st, sum, io, log
 }
 
+// checkStoredGen checks that every checkpoint in store carries the
+// generator's state at its position, whether the generator stood there
+// when the checkpoint was captured or a detailed interval had already read
+// past it.
+func checkStoredGen(t *testing.T, name, bench string, store memStore) {
+	t.Helper()
+	var positions []uint64
+	for pos := range store {
+		positions = append(positions, pos)
+	}
+	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
+	ref := workload.MustNew(bench)
+	var at uint64
+	for _, pos := range positions {
+		c, err := ckpt.Decode(store[pos])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; at < pos; at++ {
+			ref.Next()
+		}
+		want, err := ref.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c.Gen, want) {
+			t.Errorf("%s store: the checkpoint at %d carries %d bytes of generator state, not the stream's state there", name, pos, len(c.Gen))
+		}
+	}
+}
+
 // TestRunGeneratesEachInstructionOnce pins the single stream walk: whether
 // every checkpoint is computed, every one is reloaded, or they alternate,
-// sample.Run builds one generator and calls Next exactly once per stream
-// position it reaches, every engine sees the stream's own instructions at
-// its positions, and the results do not depend on the store. A checkpoint
-// filed under the wrong position counts as a miss. The 2k/8k plan's
-// intervals tile their stride, so detailed reads cross the next interval
-// start there.
+// sample.Run builds one generator, every engine sees the stream's own
+// instructions at its positions, and the results do not depend on the
+// store. A checkpoint filed under the wrong position counts as a miss. The
+// 2k/8k plan's intervals tile their stride, so detailed reads cross the
+// next interval start there.
+//
+// Two columns of generators run each store state. One hides its state
+// methods, so a hit regenerates the stream up to its position: the run
+// calls Next exactly once per position up to the furthest any engine read.
+// The other has them, so checkpoints carry its state and a hit resumes the
+// stream from it: the run calls Next exactly once per position an engine
+// consumed and never for the gaps between. Both columns give the same
+// results and checkpoint traffic, and in the stateful column every stored
+// checkpoint carries the generator's state at its position. The stateful
+// column runs where intervals are far apart (10k/200k) and where they tile
+// (2k/8k).
 func TestRunGeneratesEachInstructionOnce(t *testing.T) {
 	for _, sc := range []struct {
 		warmup, measure uint64
 		crosses         bool
+		columns         []bool // which generators run: stateful or not
 	}{
-		{10_000, 1_000_000, false},
-		{2_000, 8_000, true},
+		{10_000, 1_000_000, false, []bool{false}},
+		{10_000, 200_000, false, []bool{false, true}},
+		{2_000, 8_000, true, []bool{false, true}},
 	} {
 		spec := sim.DKIPSpec("mcf", core.Config{}, sc.warmup, sc.measure)
 		spec.Sample = sample.DefaultPlan()
 		stride := sc.measure / 4
 		t.Run(fmt.Sprintf("%d+%d", sc.warmup, sc.measure), func(t *testing.T) {
-			store := memStore{}
-			var wantSt *pipeline.Stats
-			var wantSum *sample.Summary
-			for i, state := range []struct {
+			states := []struct {
 				name  string
 				serve func(pos uint64) (uint64, bool)
 				hits  uint64
@@ -168,34 +247,66 @@ func TestRunGeneratesEachInstructionOnce(t *testing.T) {
 				{"full", func(pos uint64) (uint64, bool) { return pos, true }, 4},
 				{"every-other", func(pos uint64) (uint64, bool) { return pos, (pos-sc.warmup)/stride%2 == 0 }, 2},
 				{"misfiled", func(pos uint64) (uint64, bool) { return pos + stride, true }, 0},
-			} {
-				st, sum, io, log := runLogged(t, spec, store, state.serve)
-				if io.Hits != state.hits || io.Hits+io.Misses != 4 {
-					t.Errorf("%s store: io = %+v, want %d hits of 4", state.name, io, state.hits)
+			}
+			type outcome struct {
+				st  *pipeline.Stats
+				sum *sample.Summary
+				io  sample.IO
+			}
+			hidden := make([]outcome, len(states))
+			for _, stateful := range sc.columns {
+				column := "hidden-state"
+				if stateful {
+					column = "stateful"
 				}
-				if log.newGens != 1 {
-					t.Errorf("%s store: NewGen called %d times, want once", state.name, log.newGens)
-				}
-				if log.calls != log.furthest {
-					t.Errorf("%s store: %d Next calls for %d stream positions", state.name, log.calls, log.furthest)
-				}
-				crossed := false
-				for j := 0; j+1 < len(log.starts); j++ {
-					crossed = crossed || log.ends[j] > log.starts[j+1]
-				}
-				if crossed != sc.crosses {
-					t.Errorf("%s store: detailed reads cross the next interval start: %v, want %v (starts %v, ends %v)",
-						state.name, crossed, sc.crosses, log.starts, log.ends)
-				}
-				if i == 0 {
-					wantSt, wantSum = st, sum
-					continue
-				}
-				if !reflect.DeepEqual(st, wantSt) {
-					t.Errorf("%s store: stats differ from the empty store's\ngot:  %+v\nwant: %+v", state.name, st, wantSt)
-				}
-				if !reflect.DeepEqual(sum, wantSum) {
-					t.Errorf("%s store: summary %+v, want %+v", state.name, sum, wantSum)
+				store := memStore{}
+				for i, state := range states {
+					st, sum, io, log := runLogged(t, spec, store, state.serve, stateful)
+					name := column + " " + state.name
+					if io.Hits != state.hits || io.Hits+io.Misses != 4 {
+						t.Errorf("%s store: io = %+v, want %d hits of 4", name, io, state.hits)
+					}
+					if log.newGens != 1 {
+						t.Errorf("%s store: NewGen called %d times, want once", name, log.newGens)
+					}
+					want := log.furthest
+					if stateful {
+						want = log.distinct()
+					}
+					if log.calls != want {
+						t.Errorf("%s store: %d Next calls; engines consumed %d distinct positions, up to %d",
+							name, log.calls, log.distinct(), log.furthest)
+					}
+					crossed := false
+					for j := 0; j+1 < len(log.starts); j++ {
+						crossed = crossed || log.ends[j] > log.starts[j+1]
+					}
+					if crossed != sc.crosses {
+						t.Errorf("%s store: detailed reads cross the next interval start: %v, want %v (starts %v, ends %v)",
+							name, crossed, sc.crosses, log.starts, log.ends)
+					}
+					if stateful {
+						checkStoredGen(t, name, spec.Bench, store)
+					}
+					if !stateful {
+						hidden[i] = outcome{st, sum, io}
+						if i == 0 {
+							continue
+						}
+					}
+					ref := hidden[0]
+					if stateful {
+						ref = hidden[i]
+						if io != ref.io {
+							t.Errorf("%s store: io = %+v, hidden-state column %+v", name, io, ref.io)
+						}
+					}
+					if !reflect.DeepEqual(st, ref.st) {
+						t.Errorf("%s store: stats differ\ngot:  %+v\nwant: %+v", name, st, ref.st)
+					}
+					if !reflect.DeepEqual(sum, ref.sum) {
+						t.Errorf("%s store: summary %+v, want %+v", name, sum, ref.sum)
+					}
 				}
 			}
 		})

@@ -8,9 +8,13 @@ import (
 	"testing"
 
 	"dkip/internal/core"
+	"dkip/internal/inorder"
+	"dkip/internal/isa"
 	"dkip/internal/kilo"
 	"dkip/internal/ooo"
 	"dkip/internal/sample"
+	"dkip/internal/trace"
+	"dkip/internal/workload"
 )
 
 // sampleBenches is the accuracy slice of the 26-benchmark suite: five
@@ -265,5 +269,114 @@ func TestSampledThroughRunner(t *testing.T) {
 	}
 	if got.Sampled == nil || *got.Sampled != *res.Sampled {
 		t.Errorf("stored summary %+v != fresh %+v", got.Sampled, res.Sampled)
+	}
+}
+
+// TestSampledStreamResumeAcrossMachines runs R10-64 and then R10-256 and
+// KILO-1024 over one store at a scale whose stride is far above an
+// interval's read-ahead: the later machines hit every checkpoint R10-64
+// wrote, resume the stream from the generator state those carry, and
+// still produce exactly what a storeless run does.
+func TestSampledStreamResumeAcrossMachines(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range []ooo.Config{ooo.R10K64(), ooo.R10K256(), kilo.Config1024()} {
+		spec := OOOSpec("mcf", cfg, 10_000, 200_000)
+		spec.Sample = sample.DefaultPlan()
+		got, gotSum, io, err := SimulateSampled(spec, store)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+		want, wantSum, _, err := SimulateSampled(spec, nil)
+		if err != nil {
+			t.Fatalf("storeless %s: %v", spec.Label(), err)
+		}
+		if wantIO := (sample.IO{Hits: 4}); i > 0 && io != wantIO {
+			t.Errorf("%s: io = %+v, want %+v", spec.Label(), io, wantIO)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stats over the store differ from storeless\ngot:  %+v\nwant: %+v", spec.Label(), got, want)
+		}
+		if !reflect.DeepEqual(gotSum, wantSum) {
+			t.Errorf("%s: summary over the store %+v, storeless %+v", spec.Label(), gotSum, wantSum)
+		}
+	}
+}
+
+// countedGen counts the Next calls on a workload generator; its state
+// methods stay visible to sample.Run.
+type countedGen struct {
+	*workload.Benchmark
+	calls *uint64
+}
+
+func (g *countedGen) Next() isa.Instr {
+	*g.calls++
+	return g.Benchmark.Next()
+}
+
+// TestSampledPassGeneratorCalls counts the instructions a sampled sweep
+// generates: the Figure 9 machines and the in-order core on crafty, mcf and
+// swim at the sampling scale, over one store, the first machine of each
+// checkpoint family first. The out-of-order machines after R10-64 hit every
+// checkpoint and resume the stream from its generator state, so each
+// generates about its detailed intervals' read-ahead, not the stream up to
+// its last interval.
+func TestSampledPassGeneratorCalls(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sampling-scale sweep")
+	}
+	if raceEnabled {
+		t.Skip("simulates ~10M instructions; race overhead makes it minutes")
+	}
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, reusing []RunSpec
+	for _, b := range []string{"crafty", "mcf", "swim"} {
+		first = append(first,
+			DKIPSpec(b, core.Config{}, sampleScaleWarmup, sampleScaleMeasure),
+			OOOSpec(b, ooo.R10K64(), sampleScaleWarmup, sampleScaleMeasure),
+			InorderSpec(b, inorder.C920(), sampleScaleWarmup, sampleScaleMeasure))
+		reusing = append(reusing,
+			OOOSpec(b, ooo.R10K256(), sampleScaleWarmup, sampleScaleMeasure),
+			OOOSpec(b, kilo.Config1024(), sampleScaleWarmup, sampleScaleMeasure))
+	}
+	specs := append(first, reusing...)
+	var total, reused uint64
+	var io sample.IO
+	for i, spec := range specs {
+		spec.Sample = sample.DefaultPlan()
+		cfg, err := sampledConfig(spec, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var calls uint64
+		newGen := cfg.NewGen
+		cfg.NewGen = func() trace.Generator {
+			return &countedGen{Benchmark: newGen().(*workload.Benchmark), calls: &calls}
+		}
+		_, _, runIO, err := sample.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Label(), err)
+		}
+		io.Hits += runIO.Hits
+		io.Misses += runIO.Misses
+		io.Writes += runIO.Writes
+		total += calls
+		if i >= len(first) {
+			reused += calls
+			if stream := spec.Warmup + spec.Measure; calls*5 > stream {
+				t.Errorf("%s: reusing every checkpoint, generated %d of its %d-instruction stream", spec.Label(), calls, stream)
+			}
+		}
+	}
+	t.Logf("%d specs generated %d instructions, %d of them in the %d reusing runs; checkpoint hits/misses/writes %d/%d/%d",
+		len(specs), total, reused, len(reusing), io.Hits, io.Misses, io.Writes)
+	if want := (sample.IO{Hits: 24, Misses: 36, Writes: 36}); io != want {
+		t.Errorf("checkpoint traffic %+v, want %+v", io, want)
 	}
 }

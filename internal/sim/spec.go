@@ -251,9 +251,18 @@ const ckptKind = "checkpoints"
 // resumed runs of a killed sweep. The returned stats and summary are a pure
 // function of the spec; only the IO counters depend on what the store held.
 func SimulateSampled(s RunSpec, store *Store) (*pipeline.Stats, *sample.Summary, sample.IO, error) {
-	g, err := workload.New(s.Bench)
+	cfg, err := sampledConfig(s, store)
 	if err != nil {
 		return nil, nil, sample.IO{}, err
+	}
+	return sample.Run(cfg)
+}
+
+// sampledConfig returns the sample.Run configuration SimulateSampled runs.
+func sampledConfig(s RunSpec, store *Store) (sample.Config, error) {
+	g, err := workload.New(s.Bench)
+	if err != nil {
+		return sample.Config{}, err
 	}
 	newGen := func() trace.Generator {
 		gen, err := workload.New(s.Bench)
@@ -292,5 +301,5 @@ func SimulateSampled(s RunSpec, store *Store) (*pipeline.Stats, *sample.Summary,
 			_ = store.PutBlob(ckptKind, s.checkpointKey(c.Pos), ckpt.Encode(c))
 		}
 	}
-	return sample.Run(cfg)
+	return cfg, nil
 }

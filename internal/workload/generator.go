@@ -75,6 +75,7 @@ type Benchmark struct {
 	pDep   float64    // 1/MeanDepDist, the dependence-distance probability
 	pChain float64    // 1/ChaseChainLen, the chase-chain length probability
 	hotZ   xrand.Zipf // reuse skew over the hot region's 8-byte words
+	fp     uint64     // fingerprint of the profile, leading every state snapshot
 }
 
 var _ trace.Generator = (*Benchmark)(nil)
@@ -125,6 +126,7 @@ func (b *Benchmark) derive() {
 	b.pDep = 1 / p.MeanDepDist
 	b.pChain = 1 / float64(p.ChaseChainLen)
 	b.hotZ = xrand.NewZipf(int(p.HotBytes/8), 0.9)
+	b.fp = fingerprint(p)
 }
 
 // Profile returns the profile the generator was built from.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"dkip/internal/isa"
@@ -74,27 +75,30 @@ func TestInstructionWellFormed(t *testing.T) {
 	for _, name := range Names() {
 		g := MustNew(name)
 		for i := 0; i < 20000; i++ {
-			in := g.Next()
-			if !in.Op.Valid() {
-				t.Fatalf("%s: invalid op %v", name, in.Op)
-			}
-			if in.Op.HasDest() && !in.Dest.Valid() {
-				t.Fatalf("%s: %v without destination", name, in.Op)
-			}
-			if !in.Op.HasDest() && in.Dest.Valid() {
-				t.Fatalf("%s: %v with destination", name, in.Op)
-			}
-			if in.Op.IsMem() && in.Addr == 0 {
-				t.Fatalf("%s: memory op without address", name)
-			}
-			if in.Op == isa.Load && !in.Src1.Valid() {
-				t.Fatalf("%s: load without base register", name)
-			}
-			if in.PC == 0 {
-				t.Fatalf("%s: zero PC", name)
+			if err := wellFormed(g.Next()); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}
+}
+
+// wellFormed reports what makes in an instruction no engine can take.
+func wellFormed(in isa.Instr) error {
+	switch {
+	case !in.Op.Valid():
+		return fmt.Errorf("invalid op %v", in.Op)
+	case in.Op.HasDest() && !in.Dest.Valid():
+		return fmt.Errorf("%v without destination", in.Op)
+	case !in.Op.HasDest() && in.Dest.Valid():
+		return fmt.Errorf("%v with destination", in.Op)
+	case in.Op.IsMem() && in.Addr == 0:
+		return fmt.Errorf("memory op without address")
+	case in.Op == isa.Load && !in.Src1.Valid():
+		return fmt.Errorf("load without base register")
+	case in.PC == 0:
+		return fmt.Errorf("zero PC")
+	}
+	return nil
 }
 
 func TestMixMatchesProfile(t *testing.T) {

@@ -9,6 +9,7 @@
 package xrand
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 )
@@ -40,6 +41,19 @@ func (r *Rand) Seed(seed uint64) {
 	for i := range r.s {
 		r.s[i] = next()
 	}
+}
+
+// State returns the generator's four state words, for snapshots.
+func (r *Rand) State() [4]uint64 { return r.s }
+
+// SetState resumes the generator at state words taken by State. It refuses
+// the all-zero state, a fixed point of xoshiro256** that no seed reaches.
+func (r *Rand) SetState(s [4]uint64) error {
+	if s == ([4]uint64{}) {
+		return errors.New("xrand: all-zero state")
+	}
+	r.s = s
+	return nil
 }
 
 // Uint64 returns the next 64 pseudo-random bits (xoshiro256**).

@@ -40,6 +40,34 @@ func TestSeedReset(t *testing.T) {
 	}
 }
 
+func TestStateResumesStream(t *testing.T) {
+	r := New(11)
+	for i := 0; i < 5; i++ {
+		r.Uint64()
+	}
+	s := r.State()
+	want := make([]uint64, 16)
+	for i := range want {
+		want[i] = r.Uint64()
+	}
+	q := New(99)
+	if err := q.SetState(s); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got := q.Uint64(); got != want[i] {
+			t.Fatalf("resumed value %d = %d, want %d", i, got, want[i])
+		}
+	}
+	before := q.State()
+	if err := q.SetState([4]uint64{}); err == nil {
+		t.Error("all-zero state accepted")
+	}
+	if q.State() != before {
+		t.Error("refused state changed the generator")
+	}
+}
+
 func TestIntnRange(t *testing.T) {
 	r := New(1)
 	err := quick.Check(func(n uint16) bool {
