@@ -85,45 +85,37 @@ func New(cfg Config) *Processor {
 		NewPredictor:    cfg.NewPredictor,
 		WithConfidence:  true,
 	}, p)
-	p.cpInt = pipeline.NewIssueQueue(pipeline.QInt, cfg.CPIQSize, cfg.CPInOrder, p.Win)
-	p.cpFP = pipeline.NewIssueQueue(pipeline.QFP, cfg.CPIQSize, cfg.CPInOrder, p.Win)
+	p.cpInt = p.NewIssueQueue(pipeline.QInt, cfg.CPIQSize, cfg.CPInOrder, 0)
+	p.cpFP = p.NewIssueQueue(pipeline.QFP, cfg.CPIQSize, cfg.CPInOrder, 0)
 	p.cpFU = pipeline.NewFUPool(cfg.CPFU)
 	p.llibInt = NewLLIB(cfg.LLIBSize, p.Win)
 	p.llibFP = NewLLIB(cfg.LLIBSize, p.Win)
 	p.llrfInt = NewLLRF(cfg.LLRFBanks, cfg.LLRFBankSize, cfg.IdealLLRF)
 	p.llrfFP = NewLLRF(cfg.LLRFBanks, cfg.LLRFBankSize, cfg.IdealLLRF)
-	p.mpInt = pipeline.NewIssueQueue(pipeline.QMPInt, cfg.MPIQSize, *cfg.MPInOrder, p.Win)
-	p.mpFP = pipeline.NewIssueQueue(pipeline.QMPFP, cfg.MPIQSize, *cfg.MPInOrder, p.Win)
+	p.mpInt = p.NewIssueQueue(pipeline.QMPInt, cfg.MPIQSize, *cfg.MPInOrder, 0)
+	p.mpFP = p.NewIssueQueue(pipeline.QMPFP, cfg.MPIQSize, *cfg.MPInOrder, 0)
 	p.mpFUI = pipeline.NewFUPool(cfg.MPFU)
 	p.mpFUF = pipeline.NewFUPool(cfg.MPFU)
 	p.spreadCap = cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + fqCap + 64
 	return p
 }
 
-// Config returns the effective configuration.
-func (p *Processor) Config() Config { return p.cfg }
-
 // LLBVCount returns the number of architectural registers currently marked
 // long-latency — §3.2 argues this never saturates in steady state.
 func (p *Processor) LLBVCount() int { return p.llbvCount }
 
-// BeginCycle resets the shared cache ports and per-cycle structure ports.
+// Stages resets the shared cache ports and per-cycle structure ports, then
+// runs the D-KIP back end: complete, Analyze, CP issue, LLIB extraction, MP
+// issue.
 //
 //dkip:hotpath
-func (p *Processor) BeginCycle() {
+func (p *Processor) Stages(g trace.Generator) {
 	p.PortsUsed = 0
 	p.cpFU.NewCycle(p.Cycle)
 	p.mpFUI.NewCycle(p.Cycle)
 	p.mpFUF.NewCycle(p.Cycle)
 	p.llrfInt.NewCycle(p.Cycle)
 	p.llrfFP.NewCycle(p.Cycle)
-}
-
-// Stages runs the D-KIP back end: complete, Analyze, CP issue, LLIB
-// extraction, MP issue.
-//
-//dkip:hotpath
-func (p *Processor) Stages(g trace.Generator) {
 	p.CompleteStage()
 	p.analyzeStage()
 	p.issueCP()
@@ -228,28 +220,6 @@ func (p *Processor) clearLLBV() {
 	}
 	p.llbvCount = 0
 }
-
-// Wake routes a wakeup to the CP or MP queue holding the instruction.
-//
-//dkip:hotpath
-func (p *Processor) Wake(d *pipeline.DynInst) {
-	switch d.Queue {
-	case pipeline.QInt:
-		p.cpInt.Wake(d.Seq)
-	case pipeline.QFP:
-		p.cpFP.Wake(d.Seq)
-	case pipeline.QMPInt:
-		p.mpInt.Wake(d.Seq)
-	case pipeline.QMPFP:
-		p.mpFP.Wake(d.Seq)
-	}
-}
-
-// IssueExtraLatency charges no issue surcharge: LLIB extraction delays are
-// modeled at the FIFO, not at issue.
-//
-//dkip:hotpath
-func (p *Processor) IssueExtraLatency(d *pipeline.DynInst) int64 { return 0 }
 
 // classification is the Analyze stage's verdict on one instruction.
 type classification uint8
@@ -611,16 +581,6 @@ func (p *Processor) RenameAdmit() bool {
 	return int(p.RenameSeq-p.horizon) < p.spreadCap
 }
 
-// RenameQueue routes an instruction to its CP cluster queue.
-//
-//dkip:hotpath
-func (p *Processor) RenameQueue(fp bool) *pipeline.IssueQueue {
-	if fp {
-		return p.cpFP
-	}
-	return p.cpInt
-}
-
 // AllocHint bounds the window by the rename/horizon spread (seq is the
 // sequence number being allocated).
 //
@@ -639,15 +599,6 @@ func (p *Processor) OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue) {}
 //
 //dkip:hotpath
 func (p *Processor) FetchNext(g trace.Generator) isa.Instr { return g.Next() }
-
-// OnFetchBranch consults and trains the JRS confidence estimator.
-//
-//dkip:hotpath
-func (p *Processor) OnFetchBranch(in isa.Instr, mispred bool) bool {
-	lowConf := !p.Conf.High(in.PC)
-	p.Conf.Update(in.PC, !mispred)
-	return lowConf
-}
 
 // OnBeginMeasure re-bases the LLIB/LLRF high-water marks: they are reported
 // for the measurement window.

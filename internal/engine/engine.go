@@ -114,7 +114,12 @@ type Engine struct {
 	Stats   pipeline.Stats
 	DidWork bool
 
-	model       Model
+	model Model
+	// queues files each issue queue built through NewIssueQueue under its
+	// QueueID (QMPFP is the last one), and issueDelay the extra latency
+	// charged to instructions issued from it.
+	queues      [pipeline.QMPFP + 1]*pipeline.IssueQueue
+	issueDelay  [pipeline.QMPFP + 1]int64
 	statsBase   int64
 	measureFrom uint64 // first committed instruction counted in stats
 	targetTotal uint64 // last committed instruction counted in stats
@@ -153,6 +158,19 @@ func (e *Engine) Init(p Params, m Model) {
 	if p.WithConfidence {
 		e.Conf = predictor.NewConfidence(4096, 8)
 	}
+}
+
+// NewIssueQueue builds an issue queue over the engine's window and files it
+// under id. Rename sends FP-class instructions to the QFP queue (to QInt
+// when the model built none) and every other instruction to QInt; a woken
+// instruction is handed to the queue its Queue field names; and an
+// instruction issued from the queue executes delay cycles later than its
+// operation's latency. Models call it once per queue, after Init.
+func (e *Engine) NewIssueQueue(id pipeline.QueueID, capacity int, inOrder bool, delay int) *pipeline.IssueQueue {
+	q := pipeline.NewIssueQueue(id, capacity, inOrder, e.Win)
+	e.queues[id] = q
+	e.issueDelay[id] = int64(delay)
+	return q
 }
 
 // Hierarchy exposes the memory hierarchy (cache statistics).
@@ -197,7 +215,6 @@ func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats 
 	maxCycles := e.Cycle + int64(warmup+measure)*budgetPerInstr + budgetFloor
 	for e.Total < target {
 		e.DidWork = false
-		e.model.BeginCycle()
 		e.model.Stages(f)
 		e.renameStage()
 		e.fetchStage(f)
@@ -304,8 +321,8 @@ func (e *Engine) CompleteStage() {
 				continue
 			}
 			ce.Pending--
-			if ce.Pending == 0 {
-				e.model.Wake(ce)
+			if ce.Pending == 0 && e.queues[ce.Queue] != nil {
+				e.queues[ce.Queue].Wake(cs)
 			}
 		}
 		if d.Mispred {
@@ -355,8 +372,7 @@ func (e *Engine) Execute(d *pipeline.DynInst) {
 		lat = int64(l)
 		e.PortsUsed++
 	}
-	lat += e.model.IssueExtraLatency(d)
-	e.EV.Schedule(e.Cycle+lat, d.Seq)
+	e.EV.Schedule(e.Cycle+lat+e.issueDelay[d.Queue], d.Seq)
 	e.DidWork = true
 }
 
@@ -421,8 +437,11 @@ func (e *Engine) renameStage() {
 			}
 			return
 		}
+		q := e.queues[pipeline.QInt]
 		fp := fe.In.Op.IsFP() || (fe.In.Op == isa.Load && fe.In.Dest.IsFP())
-		q := e.model.RenameQueue(fp)
+		if fp && e.queues[pipeline.QFP] != nil {
+			q = e.queues[pipeline.QFP]
+		}
 		if q.Full() {
 			if e.Collect {
 				e.Stats.StallIQFull++
@@ -497,7 +516,10 @@ func (e *Engine) fetchStage(g trace.Generator) {
 			pred := e.BP.Predict(in.PC)
 			e.BP.Update(in.PC, in.Taken)
 			fe.Mispred = pred != in.Taken
-			fe.LowConf = e.model.OnFetchBranch(in, fe.Mispred)
+			if e.Conf != nil {
+				fe.LowConf = !e.Conf.High(in.PC)
+				e.Conf.Update(in.PC, !fe.Mispred)
+			}
 		}
 		tail := e.FQHead + e.FQLen
 		if tail >= len(e.FQ) {

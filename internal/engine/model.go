@@ -21,24 +21,28 @@ const (
 )
 
 // Model is the architecture-specific half of a processor. The Engine owns
-// the cycle loop, the front end (fetch queue, branch predictor), rename
-// bookkeeping (window allocation, producer links, scoreboard), the
-// completion event queue, statistics windows, and functional-warm /
-// checkpoint plumbing. A Model contributes the machine's structure hazards
-// and its issue/commit topology through these hooks.
+// the cycle loop, the front end (fetch queue, branch predictor, confidence
+// estimator), rename bookkeeping (window allocation, queue routing, producer
+// links, scoreboard), wakeup, the completion event queue, statistics
+// windows, and functional-warm / checkpoint plumbing. A Model registers its
+// issue queues through Engine.NewIssueQueue, which carries the queue routing
+// and any per-queue issue delay as data, and contributes the machine's
+// structure hazards and its issue/commit topology through twelve hooks:
+// Stages, EndCycle and ConsiderWake each cycle; RenameAdmit, AllocHint and
+// OnRename at rename; FetchNext at fetch; OnComplete and RecoveryExtra at
+// completion; OnBeginMeasure, FinishStats and BudgetMessage around a run.
 //
 // Every hook that runs on the per-cycle path must carry //dkip:hotpath in
 // its implementation: the engine dispatches through this interface, which
 // static analysis cannot walk, so each implementation is its own root for
 // the allocation gate.
 type Model interface {
-	// BeginCycle resets per-cycle structures (functional-unit pools,
-	// register-file ports). Runs first each cycle.
-	BeginCycle()
-	// Stages runs the model's back-end stages for this cycle — commit /
-	// complete / analyze / issue, in the model's order — typically
-	// delegating to Engine.CompleteStage and Engine.IssueSelect. The
-	// engine runs rename and fetch afterwards.
+	// Stages runs the model's back-end stages for this cycle — resetting
+	// its per-cycle structures (functional-unit pools, register-file
+	// ports), then commit / complete / analyze / issue, in the model's
+	// order — typically delegating to Engine.CompleteStage and
+	// Engine.IssueSelect. It runs first each cycle; the engine runs rename
+	// and fetch afterwards.
 	Stages(g trace.Generator)
 	// EndCycle runs after fetch, immediately before the clock advances
 	// (checkpoint-stack reconciliation, runahead episodes).
@@ -52,9 +56,6 @@ type Model interface {
 	// machine (window/ROB occupancy checks). A false return is counted as
 	// a StallROBFull by the engine.
 	RenameAdmit() bool
-	// RenameQueue selects the issue queue for an instruction of the given
-	// class. A full queue is counted as StallIQFull by the engine.
-	RenameQueue(fp bool) *pipeline.IssueQueue
 	// AllocHint returns the in-flight estimate passed to Window.Alloc for
 	// its overflow check, with seq the sequence number being allocated
 	// (Engine.RenameSeq has already been advanced past it).
@@ -66,9 +67,6 @@ type Model interface {
 	// FetchNext supplies the next instruction (runahead models interpose a
 	// replay buffer here).
 	FetchNext(g trace.Generator) isa.Instr
-	// OnFetchBranch observes a fetched branch after prediction and reports
-	// whether it was predicted with low confidence.
-	OnFetchBranch(in isa.Instr, mispred bool) bool
 
 	// OnComplete applies model bookkeeping when execution of d finishes:
 	// MSHR/LSQ release, scoreboard completion, out-of-order commit. Runs
@@ -78,11 +76,6 @@ type Model interface {
 	// misprediction (checkpoint restore, replay) and performs any recovery
 	// side effects. Called only for mispredicted instructions.
 	RecoveryExtra(d *pipeline.DynInst) int64
-	// Wake routes a now-ready instruction's wakeup to the queue holding it.
-	Wake(d *pipeline.DynInst)
-	// IssueExtraLatency returns extra execution latency charged at issue
-	// (slow-lane re-dispatch delay).
-	IssueExtraLatency(d *pipeline.DynInst) int64
 
 	// OnBeginMeasure resets model-owned high-water statistics when the
 	// measurement window opens.

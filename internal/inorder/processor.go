@@ -55,18 +55,16 @@ func New(cfg Config) *Processor {
 	// The in-order flag is the whole microarchitecture: Pop only ever
 	// offers the oldest queued instruction, so an unready head blocks
 	// issue entirely.
-	p.iq = pipeline.NewIssueQueue(pipeline.QInt, cfg.QueueSize, true, p.Win)
+	p.iq = p.NewIssueQueue(pipeline.QInt, cfg.QueueSize, true, 0)
 	return p
 }
 
-// BeginCycle resets the functional-unit pool's issue ports; Stages runs
-// commit, complete and blocking issue.
+// Stages resets the functional-unit pool's issue ports, then runs commit,
+// complete and blocking issue.
 //
 //dkip:hotpath
-func (p *Processor) BeginCycle() { p.fus.NewCycle(p.Cycle) }
-
-//dkip:hotpath
 func (p *Processor) Stages(g trace.Generator) {
+	p.fus.NewCycle(p.Cycle)
 	p.commitStage()
 	p.CompleteStage()
 	p.issueStage()
@@ -108,15 +106,6 @@ func (p *Processor) OnComplete(d *pipeline.DynInst) {
 	}
 }
 
-// Wake routes a wakeup to the unified queue.
-//
-//dkip:hotpath
-func (p *Processor) Wake(d *pipeline.DynInst) {
-	if d.Queue == pipeline.QInt {
-		p.iq.Wake(d.Seq)
-	}
-}
-
 //dkip:hotpath
 func (p *Processor) issueStage() {
 	p.iqRot[0] = p.iq
@@ -127,9 +116,9 @@ func (p *Processor) issueStage() {
 
 // RenameAdmit and AllocHint bound in-flight instructions by the
 // scoreboarded window (the rename/commit sequence spread — RenameSeq has
-// already advanced past seq when AllocHint runs); RenameQueue routes every
-// instruction class to the unified queue; FetchNext supplies instructions
-// straight from the trace.
+// already advanced past seq when AllocHint runs); FetchNext supplies
+// instructions straight from the trace. With no QFP queue, the engine
+// renames every instruction class into the unified queue.
 //
 //dkip:hotpath
 func (p *Processor) RenameAdmit() bool { return int(p.RenameSeq-p.commitSeq) < p.cfg.Window }
@@ -138,24 +127,15 @@ func (p *Processor) RenameAdmit() bool { return int(p.RenameSeq-p.commitSeq) < p
 func (p *Processor) AllocHint(seq uint64) int { return int(p.RenameSeq - p.commitSeq) }
 
 //dkip:hotpath
-func (p *Processor) RenameQueue(fp bool) *pipeline.IssueQueue { return p.iq }
-
-//dkip:hotpath
 func (p *Processor) FetchNext(g trace.Generator) isa.Instr { return g.Next() }
 
 // The remaining hooks are deliberately empty: in-order recovery is a
-// front-end flush (no extra penalty), issue carries no surcharge, there is
-// no confidence estimator, no per-cycle epilogue, no extra wake sources,
-// and no model-owned occupancy or statistics beyond the engine's.
+// front-end flush (no extra penalty), and there is no per-cycle epilogue,
+// no extra wake sources, and no model-owned occupancy or statistics beyond
+// the engine's.
 //
 //dkip:hotpath
 func (p *Processor) RecoveryExtra(d *pipeline.DynInst) int64 { return 0 }
-
-//dkip:hotpath
-func (p *Processor) IssueExtraLatency(d *pipeline.DynInst) int64 { return 0 }
-
-//dkip:hotpath
-func (p *Processor) OnFetchBranch(in isa.Instr, mispred bool) bool { return false }
 
 //dkip:hotpath
 func (p *Processor) EndCycle(g trace.Generator) {}

@@ -55,33 +55,6 @@ func isSyncLocker(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// containsLocker reports whether a value of type t holds a sync.Mutex or
-// sync.RWMutex by value (directly, or transitively through struct fields and
-// array elements) — copying such a value copies lock state.
-func containsLocker(t types.Type, seen map[types.Type]bool) bool {
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isSyncLocker(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLocker(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLocker(u.Elem(), seen)
-	}
-	return false
-}
-
 func derefType(t types.Type) types.Type {
 	if p, ok := t.(*types.Pointer); ok {
 		return p.Elem()

@@ -12,14 +12,15 @@ import (
 // (serve, sim, experiments): an edge A→B means some path acquires B while
 // holding A, either directly or through a call whose callee transitively
 // acquires B. A cycle in the graph is a potential deadlock. The analyzer
-// also flags instance-level double locks (sync.Mutex is not reentrant),
+// also flags instance-level double locks (sync.Mutex is not reentrant) and
 // nested acquisition of two instances of the same class without a declared
-// order, and mutex value-copies. //dkip:locks-after on a mutex field
-// declares a sanctioned edge; declared edges join the graph but a cycle is
-// only reported when at least one of its edges was actually observed.
+// order; mutex value-copies are left to go vet's copylocks pass.
+// //dkip:locks-after on a mutex field declares a sanctioned edge; declared
+// edges join the graph but a cycle is only reported when at least one of
+// its edges was actually observed.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "lock-order cycles, double locks, and mutex copies in serve/sim/experiments",
+	Doc:  "lock-order cycles and double locks in serve/sim/experiments",
 	New:  func() Instance { return &lockOrder{} },
 }
 
@@ -74,7 +75,6 @@ func (l *lockOrder) Package(pass *Pass) {
 	l.idx.add(pass)
 	l.passes = append(l.passes, pass)
 	l.collectDeclared(pass)
-	l.checkCopies(pass)
 }
 
 // collectDeclared reads //dkip:locks-after directives off mutex field and
@@ -148,84 +148,6 @@ func (l *lockOrder) collectDeclared(pass *Pass) {
 			}
 		}
 	}
-}
-
-// checkCopies flags mutex-bearing values copied by value: value receivers
-// and parameters, and assignments whose right-hand side is an existing
-// value (composite literals and call results construct fresh state and are
-// exempt).
-func (l *lockOrder) checkCopies(pass *Pass) {
-	copiesLock := func(e ast.Expr) (types.Type, bool) {
-		tv, ok := pass.Info.Types[e]
-		if !ok || tv.Type == nil {
-			return nil, false
-		}
-		if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-			return nil, false
-		}
-		if !containsLocker(tv.Type, nil) {
-			return nil, false
-		}
-		switch ast.Unparen(e).(type) {
-		case *ast.CompositeLit, *ast.CallExpr, *ast.FuncLit:
-			return nil, false // fresh value, nothing copied
-		}
-		return tv.Type, true
-	}
-	eachFuncDecl(pass.Files, func(fd *ast.FuncDecl) {
-		check := func(fl *ast.FieldList, what string) {
-			if fl == nil {
-				return
-			}
-			for _, field := range fl.List {
-				tv, ok := pass.Info.Types[field.Type]
-				if !ok || tv.Type == nil {
-					continue
-				}
-				if _, isPtr := tv.Type.Underlying().(*types.Pointer); isPtr {
-					continue
-				}
-				if containsLocker(tv.Type, nil) {
-					pass.Report(field.Pos(), "%s of %s copies %s by value: the mutex state is copied, use a pointer", what, fd.Name.Name, tv.Type)
-				}
-			}
-		}
-		check(fd.Recv, "receiver")
-		check(fd.Type.Params, "parameter")
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if i < len(n.Lhs) {
-						if id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident); ok && id.Name == "_" {
-							continue // discarded, nothing retains the copy
-						}
-					}
-					if t, bad := copiesLock(rhs); bad {
-						pass.Report(rhs.Pos(), "assignment copies %s, which contains a mutex: use a pointer", t)
-					}
-				}
-			case *ast.RangeStmt:
-				if tv, ok := pass.Info.Types[n.X]; ok && tv.Type != nil {
-					var elem types.Type
-					switch u := tv.Type.Underlying().(type) {
-					case *types.Slice:
-						elem = u.Elem()
-					case *types.Array:
-						elem = u.Elem()
-					case *types.Map:
-						elem = u.Elem()
-					}
-					if elem != nil {
-						if _, isPtr := elem.Underlying().(*types.Pointer); !isPtr && containsLocker(elem, nil) && n.Value != nil {
-							pass.Report(n.Value.Pos(), "range copies %s elements, which contain a mutex: iterate by index or store pointers", elem)
-						}
-					}
-				}
-			}
-			return true
-		})
-	})
 }
 
 // Finish walks every scoped function with the must-held walker, runs the

@@ -1,8 +1,7 @@
 // Package serve seeds lockorder violations: an acquisition-order cycle
 // taken directly, one taken through a call, instance double locks (direct
-// and via a method on the same receiver), unordered same-class nesting, and
-// mutex value-copies — each next to the corrected or sanctioned form that
-// must stay silent.
+// and via a method on the same receiver), and unordered same-class nesting
+// — each next to the corrected or sanctioned form that must stay silent.
 package serve
 
 import "sync"
@@ -166,44 +165,4 @@ func plan(p *planner, e *executor) {
 	defer p.mu.Unlock()
 	e.mu.Lock() // the declared direction: clean
 	e.mu.Unlock()
-}
-
-// ---- mutex value-copies -----------------------------------------------------
-
-type latched struct {
-	mu  sync.Mutex
-	val int
-}
-
-func (l latched) snapshot() int { // want "receiver of snapshot copies"
-	return l.val
-}
-
-func (l *latched) read() int { return l.val }
-
-func merge(a latched, b *latched) { // want "parameter of merge copies"
-	_ = a
-	_ = b
-}
-
-func clone(l *latched) int {
-	cp := *l // want "assignment copies"
-	return cp.val
-}
-
-func sum(ls []latched) int {
-	t := 0
-	for _, l := range ls { // want "range copies"
-		t += l.val
-	}
-	return t
-}
-
-// sumByIndex is the corrected form: no element copy.
-func sumByIndex(ls []latched) int {
-	t := 0
-	for i := range ls {
-		t += ls[i].val
-	}
-	return t
 }

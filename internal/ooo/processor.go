@@ -75,13 +75,15 @@ func New(cfg Config) *Processor {
 		Mem:             cfg.Mem,
 		NewPredictor:    cfg.NewPredictor,
 	}, p)
-	p.iqI = pipeline.NewIssueQueue(pipeline.QInt, cfg.IQSize, cfg.InOrder, p.Win)
-	p.iqF = pipeline.NewIssueQueue(pipeline.QFP, cfg.IQSize, cfg.InOrder, p.Win)
+	p.iqI = p.NewIssueQueue(pipeline.QInt, cfg.IQSize, cfg.InOrder, 0)
+	p.iqF = p.NewIssueQueue(pipeline.QFP, cfg.IQSize, cfg.InOrder, 0)
 	if cfg.SLIQSize > 0 {
 		if cfg.InOrder {
 			panic("ooo: SLIQ requires out-of-order primary queues")
 		}
-		p.sliq = pipeline.NewIssueQueue(pipeline.QSLIQ, cfg.SLIQSize, false, p.Win)
+		// Woken slow-lane instructions re-dispatch through the pipeline
+		// front before executing.
+		p.sliq = p.NewIssueQueue(pipeline.QSLIQ, cfg.SLIQSize, false, cfg.SLIQReinsertDelay)
 	}
 	p.iqAll = []*pipeline.IssueQueue{p.iqI, p.iqF}
 	if p.sliq != nil {
@@ -92,20 +94,12 @@ func New(cfg Config) *Processor {
 	return p
 }
 
-// Config returns the effective (defaulted) configuration.
-func (p *Processor) Config() Config { return p.cfg }
-
-// BeginCycle resets the functional-unit pool's issue ports.
-//
-//dkip:hotpath
-func (p *Processor) BeginCycle() {
-	p.fus.NewCycle(p.Cycle)
-}
-
-// Stages runs commit, complete and issue in the R10K order.
+// Stages resets the functional-unit pool's issue ports, then runs commit,
+// complete and issue in the R10K order.
 //
 //dkip:hotpath
 func (p *Processor) Stages(g trace.Generator) {
+	p.fus.NewCycle(p.Cycle)
 	p.commitStage()
 	p.CompleteStage()
 	p.issueStage()
@@ -188,20 +182,6 @@ func (p *Processor) RecoveryExtra(d *pipeline.DynInst) int64 {
 	return int64(p.cfg.CheckpointPenalty)
 }
 
-// Wake routes a wakeup to the queue holding the instruction.
-//
-//dkip:hotpath
-func (p *Processor) Wake(d *pipeline.DynInst) {
-	switch d.Queue {
-	case pipeline.QInt:
-		p.iqI.Wake(d.Seq)
-	case pipeline.QFP:
-		p.iqF.Wake(d.Seq)
-	case pipeline.QSLIQ:
-		p.sliq.Wake(d.Seq)
-	}
-}
-
 //dkip:hotpath
 func (p *Processor) issueStage() {
 	// Rotate priority so no queue starves under issue-width pressure. The
@@ -224,18 +204,6 @@ func (p *Processor) issueStage() {
 	if p.sliq != nil {
 		p.migrateToSLIQ()
 	}
-}
-
-// IssueExtraLatency charges the slow-lane re-dispatch delay: woken
-// slow-lane instructions re-dispatch through the pipeline front before
-// executing.
-//
-//dkip:hotpath
-func (p *Processor) IssueExtraLatency(d *pipeline.DynInst) int64 {
-	if d.Queue == pipeline.QSLIQ {
-		return int64(p.cfg.SLIQReinsertDelay)
-	}
-	return 0
 }
 
 // migrateToSLIQ moves instructions that have waited SLIQTimer cycles in a
@@ -310,16 +278,6 @@ func (p *Processor) RenameAdmit() bool {
 	return true
 }
 
-// RenameQueue routes an instruction to its cluster's issue queue.
-//
-//dkip:hotpath
-func (p *Processor) RenameQueue(fp bool) *pipeline.IssueQueue {
-	if fp {
-		return p.iqF
-	}
-	return p.iqI
-}
-
 // AllocHint bounds the window by the rename/commit spread (RenameSeq has
 // already been advanced past seq).
 //
@@ -348,11 +306,6 @@ func (p *Processor) OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue) {
 func (p *Processor) FetchNext(g trace.Generator) isa.Instr {
 	return p.pullNext(g)
 }
-
-// OnFetchBranch reports no confidence estimate: this family has none.
-//
-//dkip:hotpath
-func (p *Processor) OnFetchBranch(in isa.Instr, mispred bool) bool { return false }
 
 // OnBeginMeasure has no model-owned high-water statistics to reset.
 //

@@ -86,10 +86,8 @@ type DynInst struct {
 	// LowLocality marks an instruction classified by Analyze as
 	// depending on a long-latency event (moved to the LLIB).
 	LowLocality bool
-	// ReadyOp is the READY source operand captured into the LLRF at
-	// LLIB insertion, or RegNone.
-	ReadyOp isa.Reg
-	// LLRFBank is the LLRF bank holding ReadyOp, or -1.
+	// LLRFBank is the LLRF bank holding the READY source operand captured
+	// at LLIB insertion, or -1.
 	LLRFBank int8
 }
 
@@ -103,7 +101,6 @@ func (d *DynInst) reset(seq uint64, in isa.Instr) {
 		Consumers: c,
 		Prod1:     NoProducer, Prod2: NoProducer,
 		LLRFBank: -1,
-		ReadyOp:  isa.RegNone,
 	}
 	// Normalize: an operation without a destination must not appear to
 	// define a register, whatever the trace put in the Dest field.

@@ -23,7 +23,7 @@ func TestWindowAllocGet(t *testing.T) {
 	if e.Prod1 != NoProducer || e.Prod2 != NoProducer {
 		t.Error("producers should start empty")
 	}
-	if e.ReadyOp != isa.RegNone || e.LLRFBank != -1 {
+	if e.LLRFBank != -1 {
 		t.Error("LLRF fields should start empty")
 	}
 	if w.Get(5) != e {

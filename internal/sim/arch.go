@@ -31,11 +31,9 @@ type archDesc struct {
 	// normalize applies configuration defaults and zeroes every other
 	// engine's config so equivalent specs encode identically.
 	normalize func(s *RunSpec)
-	// config returns the spec's (normalized) engine configuration for
-	// content hashing; rawConfig returns it un-normalized for the opaque
-	// function-field scan.
-	config    func(s *RunSpec) interface{}
-	rawConfig func(s *RunSpec) interface{}
+	// config returns the spec's engine configuration: normalized for
+	// content hashing, raw for the opaque function-field scan.
+	config func(s *RunSpec) interface{}
 	// configName returns the normalized configuration's display name.
 	configName func(s *RunSpec) string
 	// validate checks the normalized engine configuration.
@@ -62,7 +60,6 @@ var oooDesc = &archDesc{
 		s.Inorder = inorder.Config{}
 	},
 	config:     func(s *RunSpec) interface{} { return s.OOO },
-	rawConfig:  func(s *RunSpec) interface{} { return s.OOO },
 	configName: func(s *RunSpec) string { return s.OOO.Name },
 	validate:   func(s *RunSpec) error { return s.OOO.Validate() },
 	window:     func(s *RunSpec) uint64 { return uint64(s.OOO.ROBSize + s.OOO.SLIQSize) },
@@ -82,7 +79,6 @@ var dkipDesc = &archDesc{
 		s.Inorder = inorder.Config{}
 	},
 	config:     func(s *RunSpec) interface{} { return s.DKIP },
-	rawConfig:  func(s *RunSpec) interface{} { return s.DKIP },
 	configName: func(s *RunSpec) string { return s.DKIP.Name },
 	validate:   func(s *RunSpec) error { return s.DKIP.Validate() },
 	window: func(s *RunSpec) uint64 {
@@ -108,7 +104,6 @@ var inorderDesc = &archDesc{
 		s.DKIP = core.Config{}
 	},
 	config:     func(s *RunSpec) interface{} { return s.Inorder },
-	rawConfig:  func(s *RunSpec) interface{} { return s.Inorder },
 	configName: func(s *RunSpec) string { return s.Inorder.Name },
 	validate:   func(s *RunSpec) error { return s.Inorder.Validate() },
 	window:     func(s *RunSpec) uint64 { return uint64(s.Inorder.Window) },

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -19,7 +20,11 @@ import (
 //   - a checkpoint captured at that position and restored into a fresh
 //     engine reproduces the warmed engine's detailed run bit-for-bit (the
 //     identity checkpointed sampling and sweep resume are built on);
-//   - a checkpoint from a machine with a different predictor is refused.
+//   - a checkpoint from a machine with a different predictor is refused;
+//   - a cold detailed run trains the predictor and the confidence estimator
+//     exactly as functional warming over the instructions it fetched does
+//     (the presets have no runahead, which pulls instructions fetch has not
+//     predicted yet).
 func TestEngineConformance(t *testing.T) {
 	presetByArch := map[Arch]string{
 		ArchOOO:     "r10-64",
@@ -91,6 +96,31 @@ func TestEngineConformance(t *testing.T) {
 			alien.PredName = "no-such-predictor"
 			if err := spec.NewEngine().RestoreArch(&alien); err == nil {
 				t.Error("RestoreArch accepted a checkpoint with a mismatched predictor")
+			}
+
+			// Fetch-path training: fetch predicts and trains on every
+			// instruction it fetches, in stream order, so the architectural
+			// predictor and confidence state after a cold run equals that
+			// after functionally warming the same prefix.
+			for _, b := range []string{"gcc", "swim", "mcf"} {
+				const n = 20_000
+				s := MustPresetSpec(preset, b, 0, n)
+				cold := s.NewEngine()
+				st := cold.Run(workload.MustNew(b), 0, n)
+				warm := s.NewEngine()
+				warm.WarmFunctional(workload.MustNew(b), st.Fetched)
+				got, err := cold.CaptureArch(b, st.Fetched)
+				if err != nil {
+					t.Fatalf("CaptureArch: %v", err)
+				}
+				want, err := warm.CaptureArch(b, st.Fetched)
+				if err != nil {
+					t.Fatalf("CaptureArch: %v", err)
+				}
+				if !bytes.Equal(got.Pred, want.Pred) || !bytes.Equal(got.Conf, want.Conf) {
+					t.Errorf("%s: predictor or confidence state after a %d-instruction run differs from functional warming over its %d fetched instructions (pred equal %v, conf equal %v)",
+						b, n, st.Fetched, bytes.Equal(got.Pred, want.Pred), bytes.Equal(got.Conf, want.Conf))
+				}
 			}
 		})
 	}

@@ -186,7 +186,7 @@ func (s RunSpec) Memoizable() bool {
 // serve layer refuses it rather than silently simulating a different
 // machine.
 func (s RunSpec) Portable() bool {
-	return !hasOpaqueFields(desc(s.Arch).rawConfig(&s))
+	return !hasOpaqueFields(desc(s.Arch).config(&s))
 }
 
 // Validate reports spec errors: unknown workload, empty scale, a run longer
