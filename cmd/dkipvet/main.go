@@ -12,9 +12,7 @@
 //
 //	go vet -vettool=$(which dkipvet) ./...
 //
-// Exposition mode, sharing serve.LintExpositionAll with cmd/promlint:
-//
-//	curl -fsS http://localhost:8321/metrics | go run ./cmd/dkipvet promtext
+// A Prometheus exposition is linted by cmd/promlint instead.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 	"strings"
 
 	"dkip/internal/lint"
-	"dkip/internal/serve"
 )
 
 func main() {
@@ -55,9 +52,6 @@ func main() {
 			fmt.Println("[]")
 			return
 		}
-	}
-	if len(args) > 0 && args[0] == "promtext" {
-		os.Exit(promtext(os.Stdin))
 	}
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(vetUnit(args[0]))
@@ -121,25 +115,6 @@ func standalone(patterns []string, asJSON bool) int {
 		fmt.Fprintf(os.Stderr, "dkipvet: %d finding(s)\n", len(diags))
 		return 1
 	}
-	return 0
-}
-
-// promtext lints a Prometheus exposition from r, printing one line per
-// finding and a trailing count — the same gate cmd/promlint runs in CI.
-func promtext(r io.Reader) int {
-	diags, err := serve.LintExpositionAll(r)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dkipvet: promtext: %v\n", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Printf("stdin:%d: %s\n", d.Line, d.Msg)
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "dkipvet: promtext: %d problem(s)\n", len(diags))
-		return 1
-	}
-	fmt.Println("dkipvet: promtext: exposition ok")
 	return 0
 }
 

@@ -8,8 +8,7 @@
 // comments, legal metric and label names, escaped label values, parseable
 // sample values, no duplicate or interleaved families) and 1 with one
 // line-numbered diagnostic per problem otherwise. The checks live in
-// internal/serve.LintExpositionAll, shared with the package's own tests and
-// with `dkipvet promtext`.
+// internal/serve.LintExpositionAll, shared with the package's own tests.
 package main
 
 import (

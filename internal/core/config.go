@@ -195,7 +195,7 @@ func (c Config) withDefaults() Config {
 // default Config describe (and memoize as) the same machine.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
 	if c.ROBSize < c.ROBTimer {
 		return fmt.Errorf("core: %s: ROB (%d) smaller than the aging timer (%d) cannot hold aging instructions",
@@ -206,6 +206,9 @@ func (c Config) Validate() error {
 	}
 	if c.LLRFBanks <= 0 || c.LLRFBankSize <= 0 {
 		return fmt.Errorf("core: %s: LLRF geometry must be positive", c.Name)
+	}
+	if err := c.withDefaults().Mem.Validate(); err != nil {
+		return fmt.Errorf("core: %s: %w", c.Name, err)
 	}
 	return nil
 }

@@ -595,11 +595,6 @@ func (p *Processor) AllocHint(seq uint64) int {
 //dkip:hotpath
 func (p *Processor) OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue) {}
 
-// FetchNext supplies instructions straight from the trace.
-//
-//dkip:hotpath
-func (p *Processor) FetchNext(g trace.Generator) isa.Instr { return g.Next() }
-
 // OnBeginMeasure re-bases the LLIB/LLRF high-water marks: they are reported
 // for the measurement window.
 //

@@ -4,10 +4,10 @@
 // rename (window allocation, producer links, scoreboard), wakeup/select,
 // completion, commit accounting, idle-cycle skipping — plus the
 // functional-warm and checkpoint capture/restore plumbing used by sampled
-// simulation. Architecture models (internal/core, internal/ooo,
-// internal/inorder) embed an Engine and implement Model: a configuration
-// plus stage hooks contributing the machine's issue topology and structural
-// hazards.
+// simulation. Architecture models (internal/core, internal/ooo) embed an
+// Engine and implement Model: a configuration plus stage hooks contributing
+// the machine's issue topology and structural hazards. internal/inorder is a
+// configuration of internal/ooo.
 package engine
 
 import (
@@ -128,6 +128,11 @@ type Engine struct {
 	// feed is allocated by the first call and reused.
 	pulled uint64
 	feed   *feed
+	// ahead holds the instructions PullAhead took from the generator before
+	// fetch reached them; fetch delivers ahead[aheadPos:] before it calls
+	// the generator again.
+	ahead    []isa.Instr
+	aheadPos int
 }
 
 // MaxRunInstrs bounds warmup+measure for one Run call. Below it the cycle
@@ -507,7 +512,7 @@ func (e *Engine) fetchStage(g trace.Generator) {
 		if e.FQLen == len(e.FQ) {
 			return
 		}
-		in := e.model.FetchNext(g)
+		in := e.nextFetch(g)
 		if e.Collect {
 			e.Stats.Fetched++
 		}
@@ -539,3 +544,37 @@ func (e *Engine) fetchStage(g trace.Generator) {
 		}
 	}
 }
+
+// nextFetch returns the next instruction of the stream for fetch: the oldest
+// one pulled ahead, else the generator's next.
+//
+//dkip:hotpath
+func (e *Engine) nextFetch(g trace.Generator) isa.Instr {
+	if e.aheadPos == len(e.ahead) {
+		return g.Next()
+	}
+	in := e.ahead[e.aheadPos]
+	e.aheadPos++
+	if e.aheadPos == len(e.ahead) {
+		e.ahead, e.aheadPos = e.ahead[:0], 0
+	}
+	return in
+}
+
+// PullAhead takes the next instruction of the stream from g before fetch
+// reaches it, as runahead's scan does, and keeps it for fetch: the
+// architectural stream fetch delivers is unchanged.
+//
+//dkip:hotpath
+func (e *Engine) PullAhead(g trace.Generator) isa.Instr {
+	in := g.Next()
+	//dkip:alloc-ok the buffer grows to the deepest pull once, then recycles
+	e.ahead = append(e.ahead, in)
+	return in
+}
+
+// PulledAhead returns the instructions pulled ahead that fetch has not yet
+// taken, oldest first. The slice is valid until the next fetch or PullAhead.
+//
+//dkip:hotpath
+func (e *Engine) PulledAhead() []isa.Instr { return e.ahead[e.aheadPos:] }

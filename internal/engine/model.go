@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"dkip/internal/isa"
 	"dkip/internal/pipeline"
 	"dkip/internal/trace"
 )
@@ -27,10 +26,12 @@ const (
 // windows, and functional-warm / checkpoint plumbing. A Model registers its
 // issue queues through Engine.NewIssueQueue, which carries the queue routing
 // and any per-queue issue delay as data, and contributes the machine's
-// structure hazards and its issue/commit topology through twelve hooks:
+// structure hazards and its issue/commit topology through eleven hooks:
 // Stages, EndCycle and ConsiderWake each cycle; RenameAdmit, AllocHint and
-// OnRename at rename; FetchNext at fetch; OnComplete and RecoveryExtra at
-// completion; OnBeginMeasure, FinishStats and BudgetMessage around a run.
+// OnRename at rename; OnComplete and RecoveryExtra at completion;
+// OnBeginMeasure, FinishStats and BudgetMessage around a run. Fetch is the
+// engine's alone: a model that reads the stream ahead of fetch (runahead)
+// does so through Engine.PullAhead, and fetch delivers what it pulled first.
 //
 // Every hook that runs on the per-cycle path must carry //dkip:hotpath in
 // its implementation: the engine dispatches through this interface, which
@@ -63,10 +64,6 @@ type Model interface {
 	// OnRename records model occupancy for a just-renamed instruction
 	// after it was inserted into q (ROB counters, age rings).
 	OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue)
-
-	// FetchNext supplies the next instruction (runahead models interpose a
-	// replay buffer here).
-	FetchNext(g trace.Generator) isa.Instr
 
 	// OnComplete applies model bookkeeping when execution of d finishes:
 	// MSHR/LSQ release, scoreboard completion, out-of-order commit. Runs

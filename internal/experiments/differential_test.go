@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dkip/internal/inorder"
 	"dkip/internal/sim"
 	"dkip/internal/workload"
 )
@@ -24,21 +25,34 @@ type diffRun struct {
 	Stats   json.RawMessage `json:"stats"`
 }
 
-// differentialJobs is the cross-engine spec matrix the differential golden
-// pins, in two batches: the Figure 9 grid (both out-of-order presets, the
-// KILO machine, and the default D-KIP over every benchmark), then the
-// Figure 10 scheduler variants on two FP workloads — every
-// pre-engine-refactor code path of the two original models, at QuickScale
-// so the records match the quick-artifact scale the golden was extracted
-// from.
+// diffGolden is one golden file of the differential matrix and the batches
+// of jobs whose records it pins, in run order.
+type diffGolden struct {
+	file    string
+	batches [][]job
+}
+
+// differentialGoldens is the cross-engine spec matrix the differential
+// goldens pin, at QuickScale so the records match the quick-artifact scale
+// the first golden was extracted from:
 //
-// The batches must run in this order. Figure 10's OOO-40/MP-INO point is
-// the default D-KIP, so on swim and applu it shares a content key with a
-// Figure 9 spec, and the record carries the config name of whichever spec
-// registered the key first. The golden, from an artifact where Figure 9
-// ran first, names it DKIP-2048.
-func differentialJobs() (fig9, fig10 []job) {
+//   - differential.golden.json: the Figure 9 grid (both out-of-order
+//     presets, the KILO machine, and the default D-KIP over every
+//     benchmark), then the Figure 10 scheduler variants on two FP
+//     workloads — every pre-engine-refactor code path of the two original
+//     models;
+//   - differential-inorder.golden.json: the in-order C920 preset over every
+//     benchmark, recorded from the dedicated in-order model before that
+//     model was folded into the out-of-order one.
+//
+// The first golden's batches must run in this order. Figure 10's
+// OOO-40/MP-INO point is the default D-KIP, so on swim and applu it shares
+// a content key with a Figure 9 spec, and the record carries the config
+// name of whichever spec registered the key first. The golden, from an
+// artifact where Figure 9 ran first, names it DKIP-2048.
+func differentialGoldens() []diffGolden {
 	s := QuickScale()
+	var fig9, fig10, ino []job
 	for _, a := range fig9Configs() {
 		for _, b := range workload.Names() {
 			fig9 = append(fig9, a.mk(b, s))
@@ -52,54 +66,63 @@ func differentialJobs() (fig9, fig10 []job) {
 			}
 		}
 	}
-	return fig9, fig10
+	for _, b := range workload.Names() {
+		ino = append(ino, runInorder("c920/"+b, b, inorder.C920(), s))
+	}
+	return []diffGolden{
+		{"differential.golden.json", [][]job{fig9, fig10}},
+		{"differential-inorder.golden.json", [][]job{ino}},
+	}
 }
 
 // TestDifferentialGolden is the cross-engine refactor gate: simulating the
 // differential matrix must reproduce, byte for byte (modulo wall clock), the
-// records the pre-engine-refactor simulator produced for the same specs —
-// including the content keys, so a hash drift and a behavior drift are both
-// caught. The golden file was extracted from a full pre-refactor
-// `cmd/experiments -run all -quick -json` artifact; regenerate with -update
-// only when a behavior change is intended, and say so in the commit.
+// records the goldens hold for the same specs — including the content keys,
+// so a hash drift and a behavior drift are both caught. The first golden was
+// extracted from a full pre-refactor `cmd/experiments -run all -quick -json`
+// artifact; regenerate with -update only when a behavior change is
+// intended, and say so in the commit.
 func TestDifferentialGolden(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("differential matrix is simulation-heavy; covered by the non-race run")
 	}
 	if testing.Short() {
-		t.Skip("differential matrix simulates ~130 quick-scale runs")
+		t.Skip("differential matrix simulates 160 quick-scale runs")
 	}
 
-	fig9, fig10 := differentialJobs()
 	runner := sim.NewRunner()
-	var jobs []job
-	var results []*sim.Result
-	for _, batch := range [][]job{fig9, fig10} {
-		specs := make([]sim.RunSpec, len(batch))
-		for i, j := range batch {
-			specs[i] = j.spec
+	for _, g := range differentialGoldens() {
+		var jobs []job
+		var got []diffRun
+		for _, batch := range g.batches {
+			specs := make([]sim.RunSpec, len(batch))
+			for i, j := range batch {
+				specs[i] = j.spec
+			}
+			res, err := runner.RunAll(specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, batch...)
+			for _, r := range res {
+				stats, err := json.Marshal(r.Stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, diffRun{
+					Key: r.Key, Arch: r.Arch, Config: r.Config, Bench: r.Bench,
+					Warmup: r.Warmup, Measure: r.Measure, Stats: stats,
+				})
+			}
 		}
-		res, err := runner.RunAll(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, batch...)
-		results = append(results, res...)
+		checkDifferential(t, filepath.Join("testdata", g.file), jobs, got)
 	}
+}
 
-	got := make([]diffRun, len(results))
-	for i, r := range results {
-		stats, err := json.Marshal(r.Stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[i] = diffRun{
-			Key: r.Key, Arch: r.Arch, Config: r.Config, Bench: r.Bench,
-			Warmup: r.Warmup, Measure: r.Measure, Stats: stats,
-		}
-	}
-
-	path := filepath.Join("testdata", "differential.golden.json")
+// checkDifferential compares one golden file's records with got, the
+// records its jobs produced; with -update it rewrites the file instead.
+func checkDifferential(t *testing.T, path string, jobs []job, got []diffRun) {
+	t.Helper()
 	if *update {
 		data, err := json.MarshalIndent(got, "", " ")
 		if err != nil {
@@ -127,8 +150,8 @@ func TestDifferentialGolden(t *testing.T) {
 	for i, g := range got {
 		w, ok := byKey[g.Key]
 		if !ok {
-			t.Errorf("%s (%s/%s): content key %s not in the pre-refactor golden — the spec hash drifted",
-				jobs[i].key, g.Config, g.Bench, g.Key)
+			t.Errorf("%s (%s/%s): content key %s not in %s — the spec hash drifted",
+				jobs[i].key, g.Config, g.Bench, g.Key, path)
 			continue
 		}
 		if g.Arch != w.Arch || g.Config != w.Config || g.Bench != w.Bench ||
@@ -138,8 +161,8 @@ func TestDifferentialGolden(t *testing.T) {
 				w.Arch, w.Config, w.Bench, w.Warmup, w.Measure)
 		}
 		if gs, ws := canonJSON(t, g.Stats), canonJSON(t, w.Stats); gs != ws {
-			t.Errorf("%s (%s/%s): stats drifted from the pre-refactor engine:\ngot:  %s\nwant: %s",
-				g.Key, g.Config, g.Bench, gs, ws)
+			t.Errorf("%s (%s/%s): stats drifted from %s:\ngot:  %s\nwant: %s",
+				g.Key, g.Config, g.Bench, path, gs, ws)
 		}
 	}
 }

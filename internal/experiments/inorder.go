@@ -12,8 +12,8 @@ import (
 
 // Inorder anchors the paper machines against a dual-issue in-order core in
 // the style of the SG2042's XuanTie C920 — the hardware-calibration target,
-// and the proof machine for the shared engine layer (a third architecture
-// expressed as configuration plus a blocking-issue stage hook). Per-benchmark
+// and a third architecture expressed as configuration alone (the
+// out-of-order model with one in-order issue queue). Per-benchmark
 // IPC for the in-order core next to the smallest out-of-order baseline and
 // the default D-KIP: everything a blocked queue head costs the in-order
 // machine is exactly the stall class the decoupled window removes.

@@ -1,9 +1,7 @@
-// Package inorder implements a dual-issue in-order core in the style of the
+// Package inorder configures a dual-issue in-order core in the style of the
 // T-Head XuanTie C920, the RISC-V core the SG2042 64-core socket is built
-// from. It exists for two reasons: as the hardware-calibration target for
-// the SG2042 evaluations (arXiv:2309.00381, 2406.12394), and as the proof
-// that a third architecture plugs into internal/engine as a configuration
-// plus a blocking-issue stage hook — no pipeline code of its own.
+// from, as the hardware-calibration target for the SG2042 evaluations
+// (arXiv:2309.00381, 2406.12394).
 //
 // The machine is deliberately simple: a unified in-order issue queue
 // (oldest-first, head blocks), a scoreboarded in-flight window retired in
@@ -11,6 +9,12 @@
 // the queue head — exactly the behavior whose cost the D-KIP decoupling is
 // designed to remove, which makes this core a useful lower anchor next to
 // the R10K baselines.
+//
+// The package has no pipeline code of its own. New maps Config onto the
+// out-of-order model with a single in-order issue queue (ooo.NewUnified):
+// the window becomes the ROB, and the model's commit, completion and issue
+// stages, run without a SLIQ, are exactly this core's. Config, its content
+// hash and its wire form stay the in-order core's own.
 package inorder
 
 import (
@@ -92,13 +96,19 @@ func (c Config) withDefaults() Config {
 // before hashing so equivalent configurations memoize as the same machine.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
+	if c.Window <= 0 {
+		return fmt.Errorf("inorder: %s: Window must be positive", c.Name)
+	}
 	if c.Window < c.QueueSize {
 		return fmt.Errorf("inorder: %s: Window %d smaller than QueueSize %d", c.Name, c.Window, c.QueueSize)
 	}
 	if c.Window > 1<<16 {
 		return fmt.Errorf("inorder: %s: Window %d unreasonably large", c.Name, c.Window)
+	}
+	if err := c.withDefaults().Mem.Validate(); err != nil {
+		return fmt.Errorf("inorder: %s: %w", c.Name, err)
 	}
 	return nil
 }

@@ -26,12 +26,6 @@ func TestConfig1024(t *testing.T) {
 	}
 }
 
-func TestConfigCustomSLIQ(t *testing.T) {
-	if Config(256).SLIQSize != 256 {
-		t.Error("custom SLIQ size not honored")
-	}
-}
-
 func TestKILOBeatsSmallWindowOnMLP(t *testing.T) {
 	// On a streaming FP workload with independent misses, KILO-1024's
 	// virtual window must decisively beat the R10-64 it is built from.

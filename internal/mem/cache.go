@@ -38,15 +38,10 @@ type Cache struct {
 // ways. size must be a multiple of line*assoc and all parameters powers of
 // two (the usual hardware constraint); NewCache panics otherwise, since a bad
 // cache geometry is a programming error in an experiment definition.
+// Config.Validate reports the same errors for a hierarchy's caches.
 func NewCache(name string, size, line, assoc int) *Cache {
-	if size <= 0 || line <= 0 || assoc <= 0 {
-		panic(fmt.Sprintf("mem: cache %q: non-positive geometry (size=%d line=%d assoc=%d)", name, size, line, assoc))
-	}
-	if size%(line*assoc) != 0 {
-		panic(fmt.Sprintf("mem: cache %q: size %d not divisible by line*assoc %d", name, size, line*assoc))
-	}
-	if !powerOfTwo(size) || !powerOfTwo(line) || !powerOfTwo(assoc) {
-		panic(fmt.Sprintf("mem: cache %q: geometry must be powers of two", name))
+	if err := checkGeometry(name, size, line, assoc); err != nil {
+		panic("mem: " + err.Error())
 	}
 	sets := size / (line * assoc)
 	c := &Cache{
@@ -63,6 +58,20 @@ func NewCache(name string, size, line, assoc int) *Cache {
 	c.valid = make([]bool, sets*assoc)
 	c.lru = make([]uint64, sets*assoc)
 	return c
+}
+
+// checkGeometry reports why NewCache cannot build a cache, or nil.
+func checkGeometry(name string, size, line, assoc int) error {
+	if size <= 0 || line <= 0 || assoc <= 0 {
+		return fmt.Errorf("cache %q: non-positive geometry (size=%d line=%d assoc=%d)", name, size, line, assoc)
+	}
+	if size%(line*assoc) != 0 {
+		return fmt.Errorf("cache %q: size %d not divisible by line*assoc %d", name, size, line*assoc)
+	}
+	if !powerOfTwo(size) || !powerOfTwo(line) || !powerOfTwo(assoc) {
+		return fmt.Errorf("cache %q: geometry must be powers of two", name)
+	}
+	return nil
 }
 
 func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }

@@ -113,7 +113,10 @@ func (c Config) withDefaults() Config {
 // hierarchies memoize as the same machine.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
-// Validate reports an error for nonsensical configurations.
+// Validate reports an error for nonsensical configurations, and for any
+// configuration NewHierarchy cannot build: a cache geometry NewCache
+// rejects, checked with the geometry defaults applied for exactly the
+// caches NewHierarchy builds.
 func (c Config) Validate() error {
 	if c.L1Latency <= 0 {
 		return fmt.Errorf("mem: config %q: L1 latency must be positive", c.Name)
@@ -123,6 +126,17 @@ func (c Config) Validate() error {
 	}
 	if c.MemLatency > 0 && c.L2Latency == 0 && c.L1Size == 0 {
 		return fmt.Errorf("mem: config %q: perfect L1 cannot miss to memory", c.Name)
+	}
+	d := c.withDefaults()
+	if d.L1Size > 0 {
+		if err := checkGeometry("L1", d.L1Size, d.LineSize, d.L1Assoc); err != nil {
+			return fmt.Errorf("mem: config %q: %w", c.Name, err)
+		}
+	}
+	if d.L2Latency > 0 && d.L2Size > 0 {
+		if err := checkGeometry("L2", d.L2Size, d.LineSize, d.L2Assoc); err != nil {
+			return fmt.Errorf("mem: config %q: %w", c.Name, err)
+		}
 	}
 	return nil
 }

@@ -2,7 +2,7 @@
 // the style of the MIPS R10000: merged physical register file, per-cluster
 // issue queues, a reorder buffer, and a load/store queue.
 //
-// The same engine serves three roles in the reproduction:
+// The same model serves four roles in the reproduction:
 //
 //   - the R10-64 / R10-256 / R10-768 baselines of Figure 9 and §4.2;
 //   - the "resources limited only by the ROB" cores of the memory-wall limit
@@ -11,7 +11,9 @@
 //     Instruction Queue (SLIQ) extension: waiting long-latency instructions
 //     migrate out of the small issue queues into a large secondary
 //     out-of-order queue, and recovery falls back to checkpoints
-//     (see package kilo).
+//     (see package kilo);
+//   - the in-order C920 calibration core of package inorder, built by
+//     NewUnified with one in-order issue queue for every instruction class.
 package ooo
 
 import (
@@ -132,13 +134,19 @@ func (c Config) withDefaults() Config {
 // hashing so equivalent configurations memoize as the same machine.
 func (c Config) WithDefaults() Config { return c.withDefaults() }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
 	if c.ROBSize <= 0 {
 		return fmt.Errorf("ooo: %s: ROBSize must be positive", c.Name)
 	}
 	if c.ROBSize > 1<<20 {
 		return fmt.Errorf("ooo: %s: ROBSize %d unreasonably large", c.Name, c.ROBSize)
+	}
+	if c.SLIQSize > 0 && c.InOrder {
+		return fmt.Errorf("ooo: %s: the SLIQ requires out-of-order primary queues", c.Name)
+	}
+	if err := c.withDefaults().Mem.Validate(); err != nil {
+		return fmt.Errorf("ooo: %s: %w", c.Name, err)
 	}
 	return nil
 }

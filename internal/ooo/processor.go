@@ -12,16 +12,16 @@ import (
 
 // Processor is one out-of-order core instance: an engine.Model contributing
 // the R10000-style ROB, clustered issue queues, and (for the KILO baseline)
-// the Slow Lane Instruction Queue. It is single-use: construct with New,
-// call Run once (Run may be called again to continue the same program with
-// warm structures).
+// the Slow Lane Instruction Queue. It is single-use: construct with New or
+// NewUnified, call Run once (Run may be called again to continue the same
+// program with warm structures).
 type Processor struct {
 	engine.Engine
 
 	cfg Config
 
 	iqI  *pipeline.IssueQueue
-	iqF  *pipeline.IssueQueue
+	iqF  *pipeline.IssueQueue // nil on a unified-queue machine
 	sliq *pipeline.IssueQueue // nil unless cfg.SLIQSize > 0
 	fus  *pipeline.FUPool
 
@@ -42,9 +42,19 @@ type Processor struct {
 	ra runaheadState
 }
 
-// New builds a processor. It panics on invalid configuration (experiment
-// definitions are code).
-func New(cfg Config) *Processor {
+// New builds a processor with the R10K's clustered issue queues, one for
+// integer and one for FP work, of IQSize entries each. It panics on invalid
+// configuration (experiment definitions are code).
+func New(cfg Config) *Processor { return build(cfg, true) }
+
+// NewUnified builds a processor whose single issue queue of IQSize entries
+// takes every instruction class: with no FP queue, the engine renames FP
+// work into the integer one. With InOrder set it is a blocking in-order
+// core, as package inorder configures it. It panics on invalid
+// configuration.
+func NewUnified(cfg Config) *Processor { return build(cfg, false) }
+
+func build(cfg Config, clustered bool) *Processor {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -76,17 +86,15 @@ func New(cfg Config) *Processor {
 		NewPredictor:    cfg.NewPredictor,
 	}, p)
 	p.iqI = p.NewIssueQueue(pipeline.QInt, cfg.IQSize, cfg.InOrder, 0)
-	p.iqF = p.NewIssueQueue(pipeline.QFP, cfg.IQSize, cfg.InOrder, 0)
+	p.iqAll = []*pipeline.IssueQueue{p.iqI}
+	if clustered {
+		p.iqF = p.NewIssueQueue(pipeline.QFP, cfg.IQSize, cfg.InOrder, 0)
+		p.iqAll = append(p.iqAll, p.iqF)
+	}
 	if cfg.SLIQSize > 0 {
-		if cfg.InOrder {
-			panic("ooo: SLIQ requires out-of-order primary queues")
-		}
 		// Woken slow-lane instructions re-dispatch through the pipeline
 		// front before executing.
 		p.sliq = p.NewIssueQueue(pipeline.QSLIQ, cfg.SLIQSize, false, cfg.SLIQReinsertDelay)
-	}
-	p.iqAll = []*pipeline.IssueQueue{p.iqI, p.iqF}
-	if p.sliq != nil {
 		p.iqAll = append(p.iqAll, p.sliq)
 	}
 	p.iqRot = make([]*pipeline.IssueQueue, len(p.iqAll))
@@ -298,13 +306,6 @@ func (p *Processor) OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue) {
 		}
 	}
 	p.robCount++
-}
-
-// FetchNext consumes the runahead replay buffer before the generator.
-//
-//dkip:hotpath
-func (p *Processor) FetchNext(g trace.Generator) isa.Instr {
-	return p.pullNext(g)
 }
 
 // OnBeginMeasure has no model-owned high-water statistics to reset.

@@ -20,43 +20,26 @@ import (
 // Pointer-chasing loads (whose address depends on the very data being
 // missed) cannot be prefetched — the fundamental limit of runahead that the
 // KILO-instruction literature points out, reproduced here via the trace's
-// ChainLoad marker. Scanned instructions are buffered and replayed to the
-// normal pipeline afterwards, so the architectural stream is unchanged.
+// ChainLoad marker. Scanned instructions stay in the engine's pulled-ahead
+// buffer, which fetch drains before the generator, so the architectural
+// stream is unchanged.
 //
 // Enable it with Config.RunaheadDepth > 0 on any ooo configuration; the
 // ablation experiment "ablation-runahead" compares R10-64, R10-64+runahead
 // and the D-KIP.
 
-// runaheadState holds the replay buffer threading scanned instructions back
-// into the front end.
+// runaheadState tracks runahead episodes. The scanned instructions wait for
+// fetch in the engine's pulled-ahead buffer (engine.Engine.PullAhead).
 type runaheadState struct {
-	replay     []isa.Instr
-	pos        int
 	lastSeq    uint64 // the blocking load already scanned for (one episode per miss)
 	episodes   uint64
 	prefetches uint64
 }
 
-// pullNext returns the next front-end instruction, consuming the runahead
-// replay buffer before advancing the generator.
-func (p *Processor) pullNext(g trace.Generator) isa.Instr {
-	ra := &p.ra
-	if ra.pos < len(ra.replay) {
-		in := ra.replay[ra.pos]
-		ra.pos++
-		if ra.pos == len(ra.replay) {
-			ra.replay = ra.replay[:0]
-			ra.pos = 0
-		}
-		return in
-	}
-	return g.Next()
-}
-
 // maybeRunahead triggers one runahead episode if the commit head is blocked
 // by an outstanding memory-level load. It scans ahead in the stream,
-// prefetching every regular load, and leaves the scanned instructions in the
-// replay buffer for ordinary execution afterwards.
+// prefetching every regular load; the scanned instructions stay pulled
+// ahead for ordinary execution afterwards.
 func (p *Processor) maybeRunahead(g trace.Generator) {
 	if p.cfg.RunaheadDepth <= 0 || p.commitSeq >= p.RenameSeq {
 		return
@@ -75,19 +58,18 @@ func (p *Processor) maybeRunahead(g trace.Generator) {
 	ra.lastSeq = head.Seq
 	ra.episodes++
 
-	// Scan ahead. Instructions already buffered (from a previous episode)
-	// are re-scanned only past the current replay position.
+	// Scan ahead. Instructions already pulled ahead (by a previous
+	// episode) and not yet fetched are re-scanned first.
 	scanned := 0
-	for i := ra.pos; i < len(ra.replay) && scanned < p.cfg.RunaheadDepth; i++ {
-		p.runaheadPrefetch(ra.replay[i])
-		scanned++
-	}
-	for scanned < p.cfg.RunaheadDepth {
-		in := g.Next()
-		//dkip:alloc-ok replay buffer grows to RunaheadDepth once, then recycles
-		ra.replay = append(ra.replay, in)
+	for _, in := range p.PulledAhead() {
+		if scanned == p.cfg.RunaheadDepth {
+			break
+		}
 		p.runaheadPrefetch(in)
 		scanned++
+	}
+	for ; scanned < p.cfg.RunaheadDepth; scanned++ {
+		p.runaheadPrefetch(p.PullAhead(g))
 	}
 }
 

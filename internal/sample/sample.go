@@ -9,8 +9,9 @@ import (
 	"dkip/internal/trace"
 )
 
-// Engine is the processor surface the sampling driver needs. Both
-// core.Processor (D-KIP) and ooo.Processor (R10K/KILO) implement it.
+// Engine is the processor surface the sampling driver needs.
+// core.Processor (D-KIP) and ooo.Processor (R10K/KILO) implement it, and so
+// does inorder.Processor, an ooo.Processor with one in-order issue queue.
 type Engine interface {
 	// Hierarchy exposes the cache hierarchy for initial range warming.
 	Hierarchy() *mem.Hierarchy

@@ -137,8 +137,7 @@ func LintExposition(r io.Reader) error {
 // LintExpositionAll runs the same checks as LintExposition but keeps going
 // after a finding, returning every diagnostic in line order. A line with a
 // problem is skipped for further per-line checks but does not stop the
-// scan, so cmd/promlint and `dkipvet promtext` can show the whole damage
-// at once. The error return is for stream-level failures (a line the
+// scan, so cmd/promlint can show the whole damage at once. The error return is for stream-level failures (a line the
 // scanner cannot buffer), not lint findings.
 func LintExpositionAll(r io.Reader) ([]LintDiag, error) {
 	sc := bufio.NewScanner(r)

@@ -181,6 +181,36 @@ func TestSubmitRejectsOverlongRun(t *testing.T) {
 			t.Errorf("%s: error %q does not name the limit", name, msg)
 		}
 	}
+	servesAfterRejects(t, ts, runner)
+}
+
+// A spec that passes every field-level check but that no constructor can
+// build — a cache geometry mem.NewCache rejects, a SLIQ behind in-order
+// issue queues, a negative L1 latency — gets a 400 instead of panicking the
+// daemon's simulation goroutine, and the daemon keeps serving.
+func TestSubmitRejectsUnbuildableMachine(t *testing.T) {
+	ts, runner := newTestServer(t, nil)
+	for name, body := range map[string]string{
+		"dkip L1Size 32769":    `{"arch":"dkip","bench":"swim","warmup":500,"measure":2000,"dkip":{"Mem":{"L1Size":32769,"L1Latency":2,"L2Size":524288,"L2Latency":11,"MemLatency":400}}}`,
+		"kilo InOrder":         `{"arch":"ooo","bench":"swim","warmup":500,"measure":2000,"ooo":{"Name":"KILO-1024","ROBSize":64,"IQSize":72,"LSQSize":512,"SLIQSize":1024,"SLIQTimer":16,"CheckpointPenalty":8,"InOrder":true}}`,
+		"inorder L1Latency -1": `{"arch":"inorder","bench":"swim","warmup":500,"measure":2000,"inorder":{"Name":"C920","Mem":{"L1Latency":-1}}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	servesAfterRejects(t, ts, runner)
+}
+
+// servesAfterRejects submits a valid spec to a daemon that has so far only
+// rejected submissions: it must be served, and be the only simulation.
+func servesAfterRejects(t *testing.T, ts *httptest.Server, runner *sim.Runner) {
+	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
 		strings.NewReader(`{"arch":"dkip","bench":"swim","warmup":500,"measure":2000}`))
 	if err != nil {

@@ -308,10 +308,6 @@ func placeholder(spec RunSpec, key string) *Result {
 
 // simulate performs one real execution under the worker-pool bound.
 func (r *Runner) simulate(spec RunSpec) (*Result, error) {
-	g, err := workload.New(spec.Bench)
-	if err != nil {
-		return nil, err
-	}
 	r.sem <- struct{}{}
 	defer func() { <-r.sem }()
 	if r.hook != nil {
@@ -347,6 +343,10 @@ func (r *Runner) simulate(spec RunSpec) (*Result, error) {
 		r.m.CheckpointWrites += io.Writes
 		r.mu.Unlock()
 	} else {
+		g, err := workload.New(spec.Bench)
+		if err != nil {
+			return nil, err
+		}
 		st = Simulate(spec, g, g.WarmRanges())
 	}
 	res := &Result{

@@ -264,18 +264,12 @@ func sampledConfig(s RunSpec, store *Store) (sample.Config, error) {
 	if err != nil {
 		return sample.Config{}, err
 	}
-	newGen := func() trace.Generator {
-		gen, err := workload.New(s.Bench)
-		if err != nil {
-			// The lookup above succeeded; the registry is immutable.
-			panic(err)
-		}
-		return gen
-	}
 	cfg := sample.Config{
-		Bench:      s.Bench,
-		NewEngine:  s.NewEngine,
-		NewGen:     newGen,
+		Bench:     s.Bench,
+		NewEngine: s.NewEngine,
+		// sample.Run calls NewGen once, so the run builds one generator:
+		// this one, which its tape reads.
+		NewGen:     func() trace.Generator { return g },
 		WarmRanges: g.WarmRanges(),
 		Warmup:     s.Warmup,
 		Measure:    s.Measure,

@@ -8,6 +8,7 @@ import (
 
 	"dkip/internal/core"
 	"dkip/internal/engine"
+	"dkip/internal/inorder"
 	"dkip/internal/kilo"
 	"dkip/internal/mem"
 	"dkip/internal/ooo"
@@ -120,6 +121,46 @@ func TestValidate(t *testing.T) {
 	}
 	if err := OOOSpec("swim", ooo.Config{}, 1000, 4000).Validate(); err == nil {
 		t.Error("ooo config without a ROB size accepted")
+	}
+}
+
+// TestValidateRejectsUnbuildable lists machines whose configurations pass
+// every field-level check but that their constructors cannot build: a
+// cache geometry mem.NewCache rejects, a SLIQ behind in-order issue queues,
+// and a negative L1 latency. Validate must refuse each, so a daemon never
+// constructs one; NewEngine panicking on each shows the case is real.
+func TestValidateRejectsUnbuildable(t *testing.T) {
+	oddL1 := core.Config{Mem: mem.DefaultConfig()}
+	oddL1.Mem.L1Size = 32769
+	kiloInOrder := kilo.Config1024()
+	kiloInOrder.InOrder = true
+	badLat := mem.DefaultConfig()
+	badLat.L1Latency = -1
+	r10 := ooo.R10K64()
+	r10.Mem = badLat
+	c920 := inorder.C920()
+	c920.Mem.L1Latency = -1
+	for _, c := range []struct {
+		name string
+		spec RunSpec
+	}{
+		{"dkip L1Size 32769", DKIPSpec("swim", oddL1, 1000, 4000)},
+		{"kilo InOrder", OOOSpec("swim", kiloInOrder, 1000, 4000)},
+		{"dkip L1Latency -1", DKIPSpec("swim", core.Config{Mem: badLat}, 1000, 4000)},
+		{"ooo L1Latency -1", OOOSpec("swim", r10, 1000, 4000)},
+		{"inorder L1Latency -1", InorderSpec("swim", c920, 1000, 4000)},
+	} {
+		if err := c.spec.Validate(); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			c.spec.NewEngine()
+			return false
+		}()
+		if !panicked {
+			t.Errorf("%s: NewEngine built the machine", c.name)
+		}
 	}
 }
 
