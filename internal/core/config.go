@@ -23,6 +23,7 @@ package core
 import (
 	"fmt"
 
+	"dkip/internal/engine"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/predictor"
@@ -197,6 +198,9 @@ func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
+	if err := engine.CheckNonNegative(c); err != nil {
+		return fmt.Errorf("core: %s: %w", c.Name, err)
+	}
 	if c.ROBSize < c.ROBTimer {
 		return fmt.Errorf("core: %s: ROB (%d) smaller than the aging timer (%d) cannot hold aging instructions",
 			c.Name, c.ROBSize, c.ROBTimer)

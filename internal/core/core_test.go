@@ -20,7 +20,6 @@ type synth struct {
 
 func (s *synth) Next() isa.Instr { in := s.next(s.n); s.n++; return in }
 func (s *synth) Name() string    { return s.label }
-func (s *synth) Reset()          { s.n = 0 }
 
 // hitOnly is a stream of cache-friendly work: everything is high locality.
 func hitOnly() trace.Generator {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dkip/internal/engine"
 	"dkip/internal/isa"
 	"dkip/internal/mem"
@@ -31,9 +29,9 @@ type Processor struct {
 	mpInt, mpFP  *pipeline.IssueQueue
 	mpFUI, mpFUF *pipeline.FUPool
 
-	// Sequencing. analyzeSeq is the next instruction the Analyze stage
-	// will consider; horizon the oldest possibly-live window entry.
-	analyzeSeq, horizon uint64
+	// analyzeSeq is the next instruction the Analyze stage will consider;
+	// the engine's Horizon walks up to it.
+	analyzeSeq uint64
 
 	// llbv mirrors the Low Locality Bit Vector for statistics; the
 	// authoritative classification walks producer links.
@@ -47,12 +45,7 @@ type Processor struct {
 	maxCkptDepth   int
 	ckptSeqs       []uint64 // live recovery points, oldest first
 
-	// issueCP scratch, preallocated so the per-cycle select loop does not
-	// allocate: the parity-rotated queue view and structural-block flags.
-	cpRot     [2]*pipeline.IssueQueue
-	cpBlocked [2]bool
-
-	// spreadCap bounds RenameSeq-horizon: the checkpointed speculative
+	// spreadCap bounds RenameSeq-Horizon: the checkpointed speculative
 	// state cannot exceed the machine's structural resources.
 	spreadCap int
 }
@@ -63,11 +56,6 @@ func New(cfg Config) *Processor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	fqCap := cfg.FetchWidth * (cfg.FrontEndDepth + 2)
-	// The window must span the seq range between the oldest live
-	// low-locality instruction and rename; give it ample slack beyond the
-	// structural occupancy bound (rename interlocks on the horizon).
-	winCap := cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + fqCap + 8192
 	p := &Processor{cfg: cfg}
 	p.Init(engine.Params{
 		Family:          "core",
@@ -79,11 +67,14 @@ func New(cfg Config) *Processor {
 		LSQSize:         cfg.LSQSize,
 		MemPorts:        cfg.MemPorts,
 		MSHRs:           cfg.MSHRs,
-		FetchQueueCap:   fqCap,
-		WindowCap:       winCap,
-		Mem:             cfg.Mem,
-		NewPredictor:    cfg.NewPredictor,
-		WithConfidence:  true,
+		// The window must span the seq range between the oldest live
+		// low-locality instruction and rename; give it ample slack beyond
+		// the structural occupancy bound (rename interlocks on the
+		// horizon).
+		WindowCap:      cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + 8192,
+		Mem:            cfg.Mem,
+		NewPredictor:   cfg.NewPredictor,
+		WithConfidence: true,
 	}, p)
 	p.cpInt = p.NewIssueQueue(pipeline.QInt, cfg.CPIQSize, cfg.CPInOrder, 0)
 	p.cpFP = p.NewIssueQueue(pipeline.QFP, cfg.CPIQSize, cfg.CPInOrder, 0)
@@ -96,7 +87,7 @@ func New(cfg Config) *Processor {
 	p.mpFP = p.NewIssueQueue(pipeline.QMPFP, cfg.MPIQSize, *cfg.MPInOrder, 0)
 	p.mpFUI = pipeline.NewFUPool(cfg.MPFU)
 	p.mpFUF = pipeline.NewFUPool(cfg.MPFU)
-	p.spreadCap = cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + fqCap + 64
+	p.spreadCap = cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + len(p.FQ) + 64
 	return p
 }
 
@@ -104,13 +95,13 @@ func New(cfg Config) *Processor {
 // long-latency — §3.2 argues this never saturates in steady state.
 func (p *Processor) LLBVCount() int { return p.llbvCount }
 
-// Stages resets the shared cache ports and per-cycle structure ports, then
-// runs the D-KIP back end: complete, Analyze, CP issue, LLIB extraction, MP
-// issue.
+// Stages resets the per-cycle structure ports, then runs the D-KIP back
+// end: complete, Analyze, CP issue, LLIB extraction, MP issue. The Cache
+// Processor selects from its two queues with priority alternating by cycle
+// parity; each Memory Processor selects from its own queue.
 //
 //dkip:hotpath
 func (p *Processor) Stages(g trace.Generator) {
-	p.PortsUsed = 0
 	p.cpFU.NewCycle(p.Cycle)
 	p.mpFUI.NewCycle(p.Cycle)
 	p.mpFUF.NewCycle(p.Cycle)
@@ -118,9 +109,12 @@ func (p *Processor) Stages(g trace.Generator) {
 	p.llrfFP.NewCycle(p.Cycle)
 	p.CompleteStage()
 	p.analyzeStage()
-	p.issueCP()
+	p.IssueSelect(p.cfg.CPIssueWidth, p.cpFU, p.cpInt, p.cpFP)
 	p.extractLLIBs()
-	p.issueMPs()
+	p.IssueSelect(p.cfg.MPIssueWidth, p.mpFUI, p.mpInt)
+	if !p.cfg.SingleLLIB {
+		p.IssueSelect(p.cfg.MPIssueWidth, p.mpFUF, p.mpFP)
+	}
 }
 
 // EndCycle reconciles the checkpoint stack once all low-locality work has
@@ -148,69 +142,31 @@ func (p *Processor) ConsiderWake(w *engine.WakeScan) {
 	}
 }
 
-//dkip:hotpath
-func (p *Processor) robCount() int { return int(p.RenameSeq - p.analyzeSeq) }
-
-// advanceHorizon slides the liveness horizon past dead entries so the window
-// can recycle their slots.
-//
-//dkip:hotpath
-func (p *Processor) advanceHorizon() {
-	for p.horizon < p.analyzeSeq {
-		e := p.Win.Get(p.horizon)
-		if e.Seq == p.horizon && !e.Done {
-			break
-		}
-		p.horizon++
-	}
-}
-
-// OnComplete applies D-KIP completion bookkeeping: MSHR release, LLBV
-// clearing, and out-of-order commit of low-locality instructions.
+// OnComplete applies D-KIP completion bookkeeping: LLBV clearing, and
+// out-of-order commit of low-locality instructions.
 //
 //dkip:hotpath
 func (p *Processor) OnComplete(d *pipeline.DynInst) {
-	if d.In.Op == isa.Load && d.MemLevel == mem.LevelMemory {
-		p.MissCount--
-	}
-	if d.In.Op.HasDest() {
-		// A completed value clears the register's long-latency mark
-		// unless a younger writer has redefined it.
-		if prod, busy := p.SB.Lookup(d.In.Dest); busy && prod == d.Seq {
-			p.setLLBV(d.In.Dest, false)
-		}
-		p.SB.Complete(d.In.Dest, d.Seq)
+	// A completed value clears the register's long-latency mark unless a
+	// younger writer has redefined it.
+	if prod, busy := p.SB.Lookup(d.In.Dest); d.In.Op.HasDest() && busy && prod == d.Seq {
+		p.setLLBV(d.In.Dest, false)
 	}
 	if d.LowLocality {
 		// LLIB/MP instructions and AP-custody loads retire at
 		// completion (out-of-order commit under checkpoints).
-		if d.In.Op == isa.Store {
-			p.Hier.Access(d.In.Addr)
-		}
-		if d.In.Op.IsMem() {
-			p.LSQCount--
-		}
 		p.Commit(d, engine.CommitMP)
-	} else if d.In.Op == isa.Load {
-		p.LSQCount-- // CP loads release their LSQ entry when the value returns
 	}
 }
 
-// RecoveryExtra charges checkpoint-recovery costs for mispredictions
+// RecoveryExtra charges checkpoint-recovery costs for a misprediction
 // resolved on the slow path and clears the LLBV (§3.2).
 //
 //dkip:hotpath
 func (p *Processor) RecoveryExtra(d *pipeline.DynInst) int64 {
-	if !d.LowLocality {
-		return 0
-	}
-	extra := int64(p.cfg.RecoveryPenalty) + p.recoveryReplayCycles(d.Seq)
-	if p.Collect {
-		p.Stats.Recoveries++
-	}
 	// Checkpoint recovery restores the register file and clears the LLBV.
 	p.clearLLBV()
-	return extra
+	return int64(p.cfg.RecoveryPenalty) + p.recoveryReplayCycles(d.Seq)
 }
 
 //dkip:hotpath
@@ -295,10 +251,6 @@ func (p *Processor) analyzeStage() {
 		}
 		switch p.classify(e) {
 		case classRetire:
-			if e.In.Op == isa.Store {
-				p.Hier.Access(e.In.Addr) // commit the store data
-				p.LSQCount--
-			}
 			p.setLLBV(e.In.Dest, false)
 			p.Commit(e, engine.CommitCP)
 
@@ -323,17 +275,11 @@ func (p *Processor) analyzeStage() {
 			if p.cfg.IdealAnalyze {
 				// Ablation: pretend the instruction retired; it
 				// completes later without further accounting.
-				if e.In.Op == isa.Store {
-					p.Hier.Access(e.In.Addr)
-					p.LSQCount--
-				}
 				p.setLLBV(e.In.Dest, false)
 				p.Commit(e, engine.CommitCP)
 				break
 			}
-			if p.Collect {
-				p.Stats.AnalyzeWaitStalls++
-			}
+			p.Stats.AnalyzeWaitStalls++
 			return
 		}
 		p.analyzeSeq++
@@ -366,9 +312,7 @@ func (p *Processor) insertLLIB(e *pipeline.DynInst) bool {
 		llib, llrf = p.llibFP, p.llrfFP
 	}
 	if llib.Full() {
-		if p.Collect {
-			p.Stats.LLIBFullStalls++
-		}
+		p.Stats.LLIBFullStalls++
 		return false
 	}
 	// Capture the READY operand (at most one, §3.2) into the LLRF.
@@ -376,9 +320,7 @@ func (p *Processor) insertLLIB(e *pipeline.DynInst) bool {
 	if p.hasReadyOperand(e) {
 		b := llrf.Alloc()
 		if b < 0 {
-			if p.Collect {
-				p.Stats.LLIBFullStalls++
-			}
+			p.Stats.LLIBFullStalls++
 			return false
 		}
 		bank = int8(b)
@@ -418,7 +360,7 @@ func (p *Processor) takeCheckpoint(seq uint64) {
 	// prefix; the stack is bounded by CheckpointStackSize, so the copy is
 	// cheap.
 	drop := 0
-	for drop < len(p.ckptSeqs) && p.ckptSeqs[drop] < p.horizon {
+	for drop < len(p.ckptSeqs) && p.ckptSeqs[drop] < p.Horizon {
 		drop++
 	}
 	if len(p.ckptSeqs)-drop >= p.cfg.CheckpointStackSize {
@@ -434,9 +376,7 @@ func (p *Processor) takeCheckpoint(seq uint64) {
 	if p.ckptDepth > p.maxCkptDepth {
 		p.maxCkptDepth = p.ckptDepth
 	}
-	if p.Collect {
-		p.Stats.Checkpoints++
-	}
+	p.Stats.Checkpoints++
 }
 
 // recoveryReplayCycles estimates the cost of re-dispatching correct-path
@@ -448,7 +388,7 @@ func (p *Processor) recoveryReplayCycles(seq uint64) int64 {
 	if !p.cfg.ReplayRecovery {
 		return 0
 	}
-	var base uint64 = p.horizon
+	base := p.Horizon
 	for _, c := range p.ckptSeqs {
 		if c <= seq && c > base {
 			base = c
@@ -490,19 +430,6 @@ func (p *Processor) hasReadyOperand(e *pipeline.DynInst) bool {
 	return n > 0 && ready > 0
 }
 
-// issueCP performs wakeup/select in the Cache Processor, alternating queue
-// priority by cycle parity.
-//
-//dkip:hotpath
-func (p *Processor) issueCP() {
-	p.cpRot[0], p.cpRot[1] = p.cpInt, p.cpFP
-	if p.Cycle&1 == 1 {
-		p.cpRot[0], p.cpRot[1] = p.cpFP, p.cpInt
-	}
-	p.cpBlocked[0], p.cpBlocked[1] = false, false
-	p.IssueSelect(p.cpRot[:], p.cpBlocked[:], p.cfg.CPIssueWidth, p.cpFU)
-}
-
 // extractLLIBs drains LLIB heads into the Memory Processors at the FIFO
 // extraction rate, reading captured operands from the LLRF.
 //
@@ -537,48 +464,19 @@ func (p *Processor) extractOne(llib *LLIB, llrf *LLRF, mp *pipeline.IssueQueue) 
 	}
 }
 
-// issueMPs executes low-locality code in the Memory Processors.
-//
-//dkip:hotpath
-func (p *Processor) issueMPs() {
-	p.issueMP(p.mpInt, p.mpFUI)
-	if !p.cfg.SingleLLIB {
-		p.issueMP(p.mpFP, p.mpFUF)
-	}
-}
-
-//dkip:hotpath
-func (p *Processor) issueMP(mp *pipeline.IssueQueue, fu *pipeline.FUPool) {
-	for n := 0; n < p.cfg.MPIssueWidth; n++ {
-		seq, ok := mp.Pop()
-		if !ok {
-			return
-		}
-		e := p.Win.Get(seq)
-		if e.In.Op == isa.Load && !p.MayIssueLoad(e) {
-			mp.Unpop(seq)
-			return
-		}
-		if !fu.TryIssue(e.In.Op) {
-			mp.Unpop(seq)
-			return
-		}
-		p.Execute(e)
-	}
-}
-
 // RenameAdmit enforces the Aging-ROB occupancy and checkpointed-state
 // spread bounds.
 //
 //dkip:hotpath
 func (p *Processor) RenameAdmit() bool {
-	if p.robCount() >= p.cfg.ROBSize {
+	// The Aging ROB holds everything renamed and not yet analyzed.
+	if int(p.RenameSeq-p.analyzeSeq) >= p.cfg.ROBSize {
 		return false
 	}
-	p.advanceHorizon()
+	p.AdvanceHorizon(p.analyzeSeq)
 	// The oldest low-locality instruction still holds checkpointed state
 	// the machine cannot exceed.
-	return int(p.RenameSeq-p.horizon) < p.spreadCap
+	return int(p.RenameSeq-p.Horizon) < p.spreadCap
 }
 
 // AllocHint bounds the window by the rename/horizon spread (seq is the
@@ -586,7 +484,7 @@ func (p *Processor) RenameAdmit() bool {
 //
 //dkip:hotpath
 func (p *Processor) AllocHint(seq uint64) int {
-	return int(seq - p.horizon)
+	return int(seq - p.Horizon)
 }
 
 // OnRename has no model occupancy to record: the Aging-ROB count derives
@@ -613,12 +511,6 @@ func (p *Processor) FinishStats(st *pipeline.Stats) {
 	st.MaxLLIBInstrs = [2]int{p.llibInt.MaxInstrs, p.llibFP.MaxInstrs}
 	st.MaxLLIBRegs = [2]int{p.llrfInt.MaxUsed, p.llrfFP.MaxUsed}
 	st.LLRFBankConflicts = p.llrfInt.Conflicts + p.llrfFP.Conflicts
-}
-
-// BudgetMessage builds the cycle-budget panic text.
-func (p *Processor) BudgetMessage(bench string, target uint64) string {
-	return fmt.Sprintf("core: %s on %s: exceeded cycle budget: committed %d of %d (llibInt=%d llibFP=%d rob=%d)",
-		p.cfg.Name, bench, p.Total, target, p.llibInt.Len(), p.llibFP.Len(), p.robCount())
 }
 
 // MaxCheckpointDepth returns the deepest the checkpoint stack got.

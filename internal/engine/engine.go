@@ -1,17 +1,29 @@
 // Package engine is the shared cycle-driven simulation core behind every
-// processor model in this repository. It owns the main loop and the stages
-// that are identical across architectures — fetch (with branch prediction),
-// rename (window allocation, producer links, scoreboard), wakeup/select,
-// completion, commit accounting, idle-cycle skipping — plus the
-// functional-warm and checkpoint capture/restore plumbing used by sampled
-// simulation. Architecture models (internal/core, internal/ooo) embed an
-// Engine and implement Model: a configuration plus stage hooks contributing
-// the machine's issue topology and structural hazards. internal/inorder is a
+// processor model in this repository. It owns the main loop and every step
+// that is identical across architectures:
+//
+//   - fetch, with branch prediction, and the fetch queue's sizing;
+//   - rename: window allocation, producer links and the scoreboard;
+//   - one wakeup/select loop for every issue queue, rotating queue priority
+//     by cycle, and the cache ports it arbitrates;
+//   - completion: load/store-queue and miss-register release, scoreboard
+//     completion, consumer wakeup and branch redirects, counting slow-path
+//     recoveries;
+//   - retirement: stores write the cache and free their load/store-queue
+//     entry, and commits are counted into the statistics window;
+//   - the liveness horizon, idle-cycle skipping and the cycle budget;
+//   - the functional-warm and checkpoint capture/restore plumbing used by
+//     sampled simulation.
+//
+// Architecture models (internal/core, internal/ooo) embed an Engine and
+// implement Model: a configuration plus stage hooks contributing the
+// machine's issue topology and structural hazards. internal/inorder is a
 // configuration of internal/ooo.
 package engine
 
 import (
 	"fmt"
+	"reflect"
 
 	"dkip/internal/isa"
 	"dkip/internal/mem"
@@ -40,16 +52,44 @@ type Params struct {
 	MemPorts int
 	MSHRs    int
 
-	// FetchQueueCap sizes the fetch buffer; WindowCap sizes the DynInst
-	// arena (models compute both from their structural resources).
-	FetchQueueCap int
-	WindowCap     int
+	// WindowCap sizes the DynInst arena beyond the fetch queue, from the
+	// model's structural resources; the engine adds the fetch queue's
+	// FetchWidth × (FrontEndDepth + 2) entries.
+	WindowCap int
 
 	Mem          mem.Config
 	NewPredictor func() predictor.Predictor
 	// WithConfidence attaches a JRS confidence estimator (the D-KIP family
 	// anchors checkpoints on low-confidence branches).
 	WithConfidence bool
+}
+
+// CheckNonNegative returns an error naming the first integer field of cfg, a
+// model's configuration struct, that holds a negative value. It looks into
+// nested structs, such as the functional-unit complements, but not into the
+// memory configuration, which mem.Config.Validate checks. Zero means
+// "default" or "off" in every model's configuration, and no integer field
+// has a meaning below it: a negative width or queue size would reach a
+// constructor and panic there.
+func CheckNonNegative(cfg any) error {
+	return checkNonNegative(reflect.ValueOf(cfg), "")
+}
+
+var memConfigType = reflect.TypeOf(mem.Config{})
+
+func checkNonNegative(v reflect.Value, prefix string) error {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), prefix+v.Type().Field(i).Name
+		if f.CanInt() && f.Int() < 0 {
+			return fmt.Errorf("%s %d must not be negative", name, f.Int())
+		}
+		if f.Kind() == reflect.Struct && f.Type() != memConfigType {
+			if err := checkNonNegative(f, name+"."); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // FetchEntry is one instruction buffered between fetch and rename.
@@ -102,19 +142,28 @@ type Engine struct {
 	FetchStalled bool
 	ResumeCycle  int64
 
-	// RenameSeq is the next sequence number to allocate.
+	// RenameSeq is the next sequence number to allocate. Horizon is the
+	// oldest possibly incomplete window entry, as far as AdvanceHorizon
+	// last walked.
 	RenameSeq uint64
+	Horizon   uint64
+	// LSQCount, MissCount (outstanding off-chip misses: MSHR occupancy) and
+	// PortsUsed (cache ports used this cycle) are written only by the
+	// engine: rename and issue allocate, completion and retirement free.
 	LSQCount  int
-	MissCount int // outstanding off-chip misses (MSHR occupancy)
-	PortsUsed int // cache ports used this cycle
+	MissCount int
+	PortsUsed int
 
-	Cycle   int64
-	Collect bool
-	Total   uint64
+	Cycle int64
+	Total uint64
+	// Stats counts unconditionally; the measurement window zeroes it when
+	// it opens, so a run reports only the window's events.
 	Stats   pipeline.Stats
 	DidWork bool
 
 	model Model
+	// measuring is set once the current Run's measurement window opened.
+	measuring bool
 	// queues files each issue queue built through NewIssueQueue under its
 	// QueueID (QMPFP is the last one), and issueDelay the extra latency
 	// charged to instructions issued from it.
@@ -151,15 +200,15 @@ const (
 
 // Init wires the engine's shared structures from p and binds the model. It
 // must be called exactly once, by the model's constructor, after the model
-// has computed FetchQueueCap and WindowCap.
+// has computed WindowCap.
 func (e *Engine) Init(p Params, m Model) {
 	e.P = p
 	e.model = m
-	e.Win = pipeline.NewWindow(p.WindowCap)
+	e.FQ = make([]FetchEntry, p.FetchWidth*(p.FrontEndDepth+2))
+	e.Win = pipeline.NewWindow(p.WindowCap + len(e.FQ))
 	e.SB = pipeline.NewScoreboard()
 	e.Hier = mem.NewHierarchy(p.Mem)
 	e.BP = predictor.NewStats(p.NewPredictor())
-	e.FQ = make([]FetchEntry, p.FetchQueueCap)
 	if p.WithConfidence {
 		e.Conf = predictor.NewConfidence(4096, 8)
 	}
@@ -191,7 +240,8 @@ func (e *Engine) Confidence() *predictor.Confidence { return e.Conf }
 // Run simulates until warmup+measure instructions have committed and
 // returns statistics covering only the measurement phase. The generator
 // supplies the correct-path instruction stream. Run may be called again to
-// continue the same program with warm structures.
+// continue the same program with warm structures; each call opens its own
+// measurement window after its own warmup.
 //
 // Run generates exactly the instructions it consumes. Every instruction it
 // commits was pulled from a generator first, and the stream is correct-path
@@ -212,6 +262,7 @@ func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats 
 	target := e.Total + warmup + measure
 	e.measureFrom = e.Total + warmup
 	e.targetTotal = target
+	e.measuring = false
 	if warmup == 0 {
 		e.beginMeasure()
 	}
@@ -220,6 +271,7 @@ func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats 
 	maxCycles := e.Cycle + int64(warmup+measure)*budgetPerInstr + budgetFloor
 	for e.Total < target {
 		e.DidWork = false
+		e.PortsUsed = 0
 		e.model.Stages(f)
 		e.renameStage()
 		e.fetchStage(f)
@@ -227,7 +279,8 @@ func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats 
 		e.AdvanceCycle()
 		if e.Cycle > maxCycles {
 			f.abort()
-			panic(e.model.BudgetMessage(g.Name(), target))
+			panic(fmt.Sprintf("%s: %s on %s: exceeded cycle budget (deadlock or pathological config): committed %d of %d",
+				e.P.Family, e.P.Name, g.Name(), e.Total, target))
 		}
 	}
 	e.pulled += f.finish()
@@ -241,18 +294,24 @@ func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats 
 func (e *Engine) beginMeasure() {
 	e.Stats = pipeline.Stats{}
 	e.statsBase = e.Cycle
-	e.Collect = true
+	e.measuring = true
 	e.model.OnBeginMeasure()
 }
 
-// Commit retires one instruction for accounting purposes. Statistics cover
-// exactly the (warmup, warmup+measure] commit range, however commits batch
-// within cycles.
+// Commit retires one instruction: a store writes the cache (a write buffer
+// hides the latency, so only cache state changes) and frees its load/store
+// queue entry, and the commit is counted. Statistics cover exactly the
+// (warmup, warmup+measure] commit range, however commits batch within
+// cycles.
 //
 //dkip:hotpath
 func (e *Engine) Commit(d *pipeline.DynInst, path CommitPath) {
+	if d.In.Op == isa.Store {
+		e.Hier.Access(d.In.Addr)
+		e.LSQCount--
+	}
 	e.Total++
-	if !e.Collect {
+	if !e.measuring {
 		if e.Total <= e.measureFrom {
 			return
 		}
@@ -305,9 +364,13 @@ func (e *Engine) AdvanceCycle() {
 	}
 }
 
-// CompleteStage retires finished executions: applies model completion
-// bookkeeping, wakes consumers, and resolves branches. Models call it from
-// Stages at their completion point.
+// CompleteStage finishes the executions due this cycle. A load frees its
+// load/store-queue entry, and its miss register when it went off-chip, as
+// its value returns; the model's OnComplete runs; the destination register
+// completes in the scoreboard; consumers wake; and a mispredicted branch
+// redirects fetch. A branch resolved on the slow path (d.LowLocality) is a
+// recovery: it is counted, and the model's RecoveryExtra adds its cost.
+// Models call CompleteStage from Stages at their completion point.
 //
 //dkip:hotpath
 func (e *Engine) CompleteStage() {
@@ -319,7 +382,16 @@ func (e *Engine) CompleteStage() {
 		d := e.Win.Get(seq)
 		d.Done = true
 		d.CompleteCycle = e.Cycle
+		if d.In.Op == isa.Load {
+			e.LSQCount--
+			if d.MemLevel == mem.LevelMemory {
+				e.MissCount--
+			}
+		}
 		e.model.OnComplete(d)
+		if d.In.Op.HasDest() {
+			e.SB.Complete(d.In.Dest, d.Seq)
+		}
 		for _, cs := range d.Consumers {
 			ce := e.Win.Get(cs)
 			if ce.Seq != cs || ce.Issued {
@@ -331,7 +403,11 @@ func (e *Engine) CompleteStage() {
 			}
 		}
 		if d.Mispred {
-			pen := int64(e.P.RedirectPenalty) + e.model.RecoveryExtra(d)
+			pen := int64(e.P.RedirectPenalty)
+			if d.LowLocality {
+				e.Stats.Recoveries++
+				pen += e.model.RecoveryExtra(d)
+			}
 			e.FetchStalled = false
 			e.ResumeCycle = e.Cycle + pen
 		}
@@ -339,12 +415,26 @@ func (e *Engine) CompleteStage() {
 	}
 }
 
-// MayIssueLoad checks the structural limits for a load about to issue: a
+// AdvanceHorizon slides Horizon past completed entries, and slots already
+// recycled, up to limit, so the window can recycle them.
+//
+//dkip:hotpath
+func (e *Engine) AdvanceHorizon(limit uint64) {
+	for e.Horizon < limit {
+		d := e.Win.Get(e.Horizon)
+		if d.Seq == e.Horizon && !d.Done {
+			return
+		}
+		e.Horizon++
+	}
+}
+
+// mayIssueLoad checks the structural limits for a load about to issue: a
 // free cache port, and — when MSHRs are modeled — a free miss register if
 // the access would go off-chip.
 //
 //dkip:hotpath
-func (e *Engine) MayIssueLoad(d *pipeline.DynInst) bool {
+func (e *Engine) mayIssueLoad(d *pipeline.DynInst) bool {
 	if e.PortsUsed >= e.P.MemPorts {
 		return false
 	}
@@ -354,23 +444,19 @@ func (e *Engine) MayIssueLoad(d *pipeline.DynInst) bool {
 	return true
 }
 
-// Execute starts execution of d at the current cycle.
+// execute starts execution of d at the current cycle.
 //
 //dkip:hotpath
-func (e *Engine) Execute(d *pipeline.DynInst) {
+func (e *Engine) execute(d *pipeline.DynInst) {
 	d.Issued = true
 	d.IssueCycle = e.Cycle
-	if e.Collect {
-		e.Stats.IssueLat.Observe(e.Cycle - d.RenameCycle)
-	}
+	e.Stats.IssueLat.Observe(e.Cycle - d.RenameCycle)
 	lat := int64(d.In.Op.Latency())
 	if d.In.Op == isa.Load {
 		l, lvl := e.Hier.Access(d.In.Addr)
 		d.MemLevel = lvl
 		d.MemLatency = l
-		if e.Collect {
-			e.Stats.LoadLevel[lvl]++
-		}
+		e.Stats.LoadLevel[lvl]++
 		if lvl == mem.LevelMemory {
 			e.MissCount++
 		}
@@ -381,46 +467,53 @@ func (e *Engine) Execute(d *pipeline.DynInst) {
 	e.DidWork = true
 }
 
-// IssueSelect performs wakeup/select over a rotated queue view: up to width
-// instructions issue, round-robin across queues, each queue blocking at its
-// first structurally stalled head. The queues and blocked slices must be
-// caller-preallocated scratch (this runs every cycle and must not
-// allocate); blocked must arrive zeroed. Returns the number issued.
+// IssueSelect performs wakeup/select over queues, the model's fixed queue
+// set for one scheduler: up to width instructions issue, round-robin across
+// the queues, each queue blocking at its first structurally stalled head.
+// Priority rotates by cycle, so no queue starves under issue-width pressure:
+// on cycle c the visit starts at queues[c mod len(queues)].
 //
 //dkip:hotpath
-func (e *Engine) IssueSelect(queues []*pipeline.IssueQueue, blocked []bool, width int, fu *pipeline.FUPool) int {
+func (e *Engine) IssueSelect(width int, fu *pipeline.FUPool, queues ...*pipeline.IssueQueue) {
+	n := len(queues)
+	start := 0
+	if n == 2 {
+		start = int(e.Cycle & 1)
+	} else if n > 2 {
+		start = int(e.Cycle % int64(n))
+	}
+	var blocked uint32 // bit i: queues[i] is blocked for the rest of the cycle
 	issued := 0
 	for issued < width {
 		progress := false
-		for qi, q := range queues {
-			if blocked[qi] || issued >= width {
+		for k := 0; k < n && issued < width; k++ {
+			i := start + k
+			if i >= n {
+				i -= n
+			}
+			if blocked&(1<<i) != 0 {
 				continue
 			}
+			q := queues[i]
 			seq, ok := q.Pop()
 			if !ok {
-				blocked[qi] = true
+				blocked |= 1 << i
 				continue
 			}
 			d := e.Win.Get(seq)
-			if d.In.Op == isa.Load && !e.MayIssueLoad(d) {
+			if (d.In.Op == isa.Load && !e.mayIssueLoad(d)) || !fu.TryIssue(d.In.Op) {
 				q.Unpop(seq)
-				blocked[qi] = true
+				blocked |= 1 << i
 				continue
 			}
-			if !fu.TryIssue(d.In.Op) {
-				q.Unpop(seq)
-				blocked[qi] = true
-				continue
-			}
-			e.Execute(d)
+			e.execute(d)
 			issued++
 			progress = true
 		}
 		if !progress {
-			break
+			return
 		}
 	}
-	return issued
 }
 
 // renameStage maps fetched instructions into the model's window structures
@@ -437,9 +530,7 @@ func (e *Engine) renameStage() {
 			return
 		}
 		if !e.model.RenameAdmit() {
-			if e.Collect {
-				e.Stats.StallROBFull++
-			}
+			e.Stats.StallROBFull++
 			return
 		}
 		q := e.queues[pipeline.QInt]
@@ -448,15 +539,11 @@ func (e *Engine) renameStage() {
 			q = e.queues[pipeline.QFP]
 		}
 		if q.Full() {
-			if e.Collect {
-				e.Stats.StallIQFull++
-			}
+			e.Stats.StallIQFull++
 			return
 		}
 		if fe.In.Op.IsMem() && e.LSQCount >= e.P.LSQSize {
-			if e.Collect {
-				e.Stats.StallLSQFull++
-			}
+			e.Stats.StallLSQFull++
 			return
 		}
 
@@ -513,9 +600,7 @@ func (e *Engine) fetchStage(g trace.Generator) {
 			return
 		}
 		in := e.nextFetch(g)
-		if e.Collect {
-			e.Stats.Fetched++
-		}
+		e.Stats.Fetched++
 		fe := FetchEntry{In: in, FetchCycle: e.Cycle, Ready: e.Cycle + int64(e.P.FrontEndDepth)}
 		if in.Op == isa.Branch {
 			pred := e.BP.Predict(in.PC)

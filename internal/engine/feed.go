@@ -166,9 +166,6 @@ func (f *feed) refill() isa.Instr {
 // Name returns the generator's name.
 func (f *feed) Name() string { return f.name }
 
-// Reset is not supported: the engine never restarts a stream mid-call.
-func (f *feed) Reset() { panic("engine: Reset on the instruction feed") }
-
 // finish ends a call that consumed everything the producer generated, and
 // returns how many instructions the call pulled in all.
 //

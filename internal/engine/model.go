@@ -22,16 +22,19 @@ const (
 // Model is the architecture-specific half of a processor. The Engine owns
 // the cycle loop, the front end (fetch queue, branch predictor, confidence
 // estimator), rename bookkeeping (window allocation, queue routing, producer
-// links, scoreboard), wakeup, the completion event queue, statistics
-// windows, and functional-warm / checkpoint plumbing. A Model registers its
-// issue queues through Engine.NewIssueQueue, which carries the queue routing
-// and any per-queue issue delay as data, and contributes the machine's
-// structure hazards and its issue/commit topology through eleven hooks:
-// Stages, EndCycle and ConsiderWake each cycle; RenameAdmit, AllocHint and
-// OnRename at rename; OnComplete and RecoveryExtra at completion;
-// OnBeginMeasure, FinishStats and BudgetMessage around a run. Fetch is the
-// engine's alone: a model that reads the stream ahead of fetch (runahead)
-// does so through Engine.PullAhead, and fetch delivers what it pulled first.
+// links, scoreboard), the select loop and its cache ports, wakeup, the
+// completion event queue, load/store-queue and miss-register lifetime,
+// scoreboard completion, store retirement, the slow-path recovery count,
+// the liveness horizon, statistics windows, and functional-warm /
+// checkpoint plumbing. A Model registers its issue queues through
+// Engine.NewIssueQueue, which carries the queue routing and any per-queue
+// issue delay as data, and contributes the machine's structure hazards and
+// its issue/commit topology through ten hooks: Stages, EndCycle and
+// ConsiderWake each cycle; RenameAdmit, AllocHint and OnRename at rename;
+// OnComplete and RecoveryExtra at completion; OnBeginMeasure and
+// FinishStats around a run. Fetch is the engine's alone: a model that reads
+// the stream ahead of fetch (runahead) does so through Engine.PullAhead,
+// and fetch delivers what it pulled first.
 //
 // Every hook that runs on the per-cycle path must carry //dkip:hotpath in
 // its implementation: the engine dispatches through this interface, which
@@ -41,9 +44,9 @@ type Model interface {
 	// Stages runs the model's back-end stages for this cycle — resetting
 	// its per-cycle structures (functional-unit pools, register-file
 	// ports), then commit / complete / analyze / issue, in the model's
-	// order — typically delegating to Engine.CompleteStage and
-	// Engine.IssueSelect. It runs first each cycle; the engine runs rename
-	// and fetch afterwards.
+	// order — delegating to Engine.CompleteStage, Engine.IssueSelect and
+	// Engine.Commit. It runs first each cycle, after the engine freed the
+	// cache ports; the engine runs rename and fetch afterwards.
 	Stages(g trace.Generator)
 	// EndCycle runs after fetch, immediately before the clock advances
 	// (checkpoint-stack reconciliation, runahead episodes).
@@ -65,13 +68,16 @@ type Model interface {
 	// after it was inserted into q (ROB counters, age rings).
 	OnRename(d *pipeline.DynInst, q *pipeline.IssueQueue)
 
-	// OnComplete applies model bookkeeping when execution of d finishes:
-	// MSHR/LSQ release, scoreboard completion, out-of-order commit. Runs
-	// before the engine wakes d's consumers.
+	// OnComplete applies model bookkeeping when execution of d finishes
+	// (window occupancy, out-of-order commit). It runs after the engine
+	// freed a load's LSQ entry and miss register, and before the engine
+	// completes d's destination in the scoreboard and wakes its consumers.
 	OnComplete(d *pipeline.DynInst)
-	// RecoveryExtra returns the redirect-penalty surcharge for a resolved
-	// misprediction (checkpoint restore, replay) and performs any recovery
-	// side effects. Called only for mispredicted instructions.
+	// RecoveryExtra returns the redirect-penalty surcharge for a
+	// misprediction resolved on the slow path (checkpoint restore, replay)
+	// and performs any recovery side effects. The engine calls it only for
+	// mispredicted instructions with LowLocality set, after counting the
+	// recovery.
 	RecoveryExtra(d *pipeline.DynInst) int64
 
 	// OnBeginMeasure resets model-owned high-water statistics when the
@@ -79,7 +85,4 @@ type Model interface {
 	OnBeginMeasure()
 	// FinishStats copies model-owned statistics into the result.
 	FinishStats(st *pipeline.Stats)
-	// BudgetMessage builds the cycle-budget panic message. Only called on
-	// the failure path; it may allocate.
-	BudgetMessage(bench string, target uint64) string
 }

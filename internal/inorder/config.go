@@ -20,6 +20,7 @@ package inorder
 import (
 	"fmt"
 
+	"dkip/internal/engine"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/predictor"
@@ -98,6 +99,9 @@ func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
+	if err := engine.CheckNonNegative(c); err != nil {
+		return fmt.Errorf("inorder: %s: %w", c.Name, err)
+	}
 	if c.Window <= 0 {
 		return fmt.Errorf("inorder: %s: Window must be positive", c.Name)
 	}

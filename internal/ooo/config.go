@@ -19,6 +19,7 @@ package ooo
 import (
 	"fmt"
 
+	"dkip/internal/engine"
 	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/predictor"
@@ -136,6 +137,9 @@ func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
+	if err := engine.CheckNonNegative(c); err != nil {
+		return fmt.Errorf("ooo: %s: %w", c.Name, err)
+	}
 	if c.ROBSize <= 0 {
 		return fmt.Errorf("ooo: %s: ROBSize must be positive", c.Name)
 	}

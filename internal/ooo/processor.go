@@ -1,11 +1,7 @@
 package ooo
 
 import (
-	"fmt"
-
 	"dkip/internal/engine"
-	"dkip/internal/isa"
-	"dkip/internal/mem"
 	"dkip/internal/pipeline"
 	"dkip/internal/trace"
 )
@@ -24,20 +20,14 @@ type Processor struct {
 	iqF  *pipeline.IssueQueue // nil on a unified-queue machine
 	sliq *pipeline.IssueQueue // nil unless cfg.SLIQSize > 0
 	fus  *pipeline.FUPool
+	// iqAll is the queue set the select loop rotates over.
+	iqAll []*pipeline.IssueQueue
 
 	commitSeq uint64 // next sequence number to retire
-	horizon   uint64 // oldest incomplete instruction (SLIQ spread cap)
 	robCount  int
 
 	// ageI/ageF feed SLIQ migration: sequence numbers in rename order.
 	ageI, ageF pipeline.Ring64
-
-	// issueStage scratch, preallocated so the per-cycle select loop does
-	// not allocate: the fixed queue set, its rotated view, and the
-	// structural-block flags.
-	iqAll     []*pipeline.IssueQueue
-	iqRot     []*pipeline.IssueQueue
-	iqBlocked []bool
 
 	ra runaheadState
 }
@@ -59,8 +49,7 @@ func build(cfg Config, clustered bool) *Processor {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	fqCap := cfg.FetchWidth * (cfg.FrontEndDepth + 2)
-	winCap := cfg.ROBSize + cfg.SLIQSize + fqCap + 64
+	winCap := cfg.ROBSize + cfg.SLIQSize + 64
 	if cfg.SLIQSize > 0 {
 		// Out-of-order commit lets the rename/commit spread exceed the
 		// structural window while the in-order counter catches up.
@@ -80,7 +69,6 @@ func build(cfg Config, clustered bool) *Processor {
 		LSQSize:         cfg.LSQSize,
 		MemPorts:        cfg.MemPorts,
 		MSHRs:           cfg.MSHRs,
-		FetchQueueCap:   fqCap,
 		WindowCap:       winCap,
 		Mem:             cfg.Mem,
 		NewPredictor:    cfg.NewPredictor,
@@ -97,20 +85,23 @@ func build(cfg Config, clustered bool) *Processor {
 		p.sliq = p.NewIssueQueue(pipeline.QSLIQ, cfg.SLIQSize, false, cfg.SLIQReinsertDelay)
 		p.iqAll = append(p.iqAll, p.sliq)
 	}
-	p.iqRot = make([]*pipeline.IssueQueue, len(p.iqAll))
-	p.iqBlocked = make([]bool, len(p.iqAll))
 	return p
 }
 
 // Stages resets the functional-unit pool's issue ports, then runs commit,
-// complete and issue in the R10K order.
+// complete and issue in the R10K order. SLIQ migration follows issue, so
+// newly ready instructions had their chance to leave the primary queues
+// first.
 //
 //dkip:hotpath
 func (p *Processor) Stages(g trace.Generator) {
 	p.fus.NewCycle(p.Cycle)
 	p.commitStage()
 	p.CompleteStage()
-	p.issueStage()
+	p.IssueSelect(p.cfg.IssueWidth, p.fus, p.iqAll...)
+	if p.sliq != nil {
+		p.migrateToSLIQ()
+	}
 }
 
 // EndCycle triggers a runahead episode when configured.
@@ -137,13 +128,6 @@ func (p *Processor) commitStage() {
 		if !d.Done {
 			return
 		}
-		if d.In.Op == isa.Store {
-			// Stores write the cache at commit; a write buffer hides
-			// the latency, so only cache state is updated.
-			p.Hier.Access(d.In.Addr)
-			p.LSQCount--
-		}
-		// Loads released their LSQ entry when their value returned.
 		if p.cfg.SLIQSize == 0 {
 			p.robCount--
 		}
@@ -153,65 +137,24 @@ func (p *Processor) commitStage() {
 	}
 }
 
-// OnComplete releases structural entries for a finished execution.
+// OnComplete releases a finished instruction's pseudo-ROB entry under
+// out-of-order commit (multicheckpointing); SLIQ residents released theirs
+// when they migrated.
 //
 //dkip:hotpath
 func (p *Processor) OnComplete(d *pipeline.DynInst) {
-	if d.In.Op == isa.Load {
-		p.LSQCount-- // the LSQ entry is freed when the value returns
-		if d.MemLevel == mem.LevelMemory {
-			p.MissCount--
-		}
-	}
 	if p.cfg.SLIQSize > 0 && !d.LowLocality {
-		// Out-of-order commit (multicheckpointing): a finished
-		// instruction releases its pseudo-ROB entry immediately;
-		// SLIQ residents released theirs when they migrated.
 		p.robCount--
-	}
-	if d.In.Op.HasDest() {
-		p.SB.Complete(d.In.Dest, d.Seq)
 	}
 }
 
-// RecoveryExtra charges the checkpoint-restore surcharge for mispredictions
-// resolved from the SLIQ.
+// RecoveryExtra charges the checkpoint-restore surcharge for a
+// misprediction resolved from the SLIQ: recovery restores a checkpoint
+// rather than the rename stack.
 //
 //dkip:hotpath
 func (p *Processor) RecoveryExtra(d *pipeline.DynInst) int64 {
-	if !d.LowLocality {
-		return 0
-	}
-	// Resolved from the SLIQ: recovery restores a checkpoint rather than
-	// the rename stack.
-	if p.Collect {
-		p.Stats.Recoveries++
-	}
 	return int64(p.cfg.CheckpointPenalty)
-}
-
-//dkip:hotpath
-func (p *Processor) issueStage() {
-	// Rotate priority so no queue starves under issue-width pressure. The
-	// rotated view and block flags live on the Processor: this runs every
-	// cycle and must not allocate.
-	n := len(p.iqAll)
-	rot := int(p.Cycle) % n
-	for i := range p.iqAll {
-		j := i + rot
-		if j >= n {
-			j -= n
-		}
-		p.iqRot[i] = p.iqAll[j]
-		p.iqBlocked[i] = false
-	}
-	p.PortsUsed = 0
-	p.IssueSelect(p.iqRot, p.iqBlocked, p.cfg.IssueWidth, p.fus)
-	// SLIQ migration happens after issue so newly ready instructions had
-	// their chance to leave the primary queues first.
-	if p.sliq != nil {
-		p.migrateToSLIQ()
-	}
 }
 
 // migrateToSLIQ moves instructions that have waited SLIQTimer cycles in a
@@ -272,14 +215,8 @@ func (p *Processor) RenameAdmit() bool {
 		// physical-register budget: at most pseudo-ROB + SLIQ
 		// instructions may separate the oldest incomplete instruction
 		// from rename.
-		for p.horizon < p.RenameSeq {
-			e := p.Win.Get(p.horizon)
-			if e.Seq == p.horizon && !e.Done {
-				break
-			}
-			p.horizon++
-		}
-		if int(p.RenameSeq-p.horizon) >= p.cfg.ROBSize+p.cfg.SLIQSize {
+		p.AdvanceHorizon(p.RenameSeq)
+		if int(p.RenameSeq-p.Horizon) >= p.cfg.ROBSize+p.cfg.SLIQSize {
 			return false
 		}
 	}
@@ -315,9 +252,3 @@ func (p *Processor) OnBeginMeasure() {}
 
 // FinishStats has no model-owned statistics to copy.
 func (p *Processor) FinishStats(st *pipeline.Stats) {}
-
-// BudgetMessage builds the cycle-budget panic text.
-func (p *Processor) BudgetMessage(bench string, target uint64) string {
-	return fmt.Sprintf("ooo: %s on %s: exceeded cycle budget (deadlock or pathological config): committed %d of %d",
-		p.cfg.Name, bench, p.Total, target)
-}

@@ -18,7 +18,6 @@ type synth struct {
 
 func (s *synth) Next() isa.Instr { in := s.next(s.n); s.n++; return in }
 func (s *synth) Name() string    { return s.label }
-func (s *synth) Reset()          { s.n = 0 }
 
 // independentALU: every instruction writes a rotating register and reads two
 // old ones — near-perfect ILP.

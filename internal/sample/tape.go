@@ -75,12 +75,6 @@ func (t *tape) Next() isa.Instr {
 // Name returns the workload name.
 func (t *tape) Name() string { return t.gen.Name() }
 
-// Reset restarts the walk at stream start and drops what was kept.
-func (t *tape) Reset() {
-	t.gen.Reset()
-	t.kept, t.head, t.pos, t.saved = t.kept[:0], 0, 0, t.saved[:0]
-}
-
 // genPos returns the generator's stream position: the walk's, plus what
 // is kept ahead of it.
 func (t *tape) genPos() uint64 { return t.pos + uint64(len(t.kept)-t.head) }
@@ -184,6 +178,3 @@ func (r *reader) Next() isa.Instr {
 
 // Name returns the workload name.
 func (r *reader) Name() string { return r.t.gen.Name() }
-
-// Reset rewinds the reader to the walk's position.
-func (r *reader) Reset() { r.i = 0 }

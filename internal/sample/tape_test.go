@@ -18,7 +18,6 @@ func (g *countGen) Next() isa.Instr {
 	return isa.Instr{PC: g.pos}
 }
 func (g *countGen) Name() string { return "count" }
-func (g *countGen) Reset()       { g.pos = 0 }
 func (g *countGen) SaveState() ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(nil, g.pos), nil
 }

@@ -194,6 +194,7 @@ func TestSubmitRejectsUnbuildableMachine(t *testing.T) {
 		"dkip L1Size 32769":    `{"arch":"dkip","bench":"swim","warmup":500,"measure":2000,"dkip":{"Mem":{"L1Size":32769,"L1Latency":2,"L2Size":524288,"L2Latency":11,"MemLatency":400}}}`,
 		"kilo InOrder":         `{"arch":"ooo","bench":"swim","warmup":500,"measure":2000,"ooo":{"Name":"KILO-1024","ROBSize":64,"IQSize":72,"LSQSize":512,"SLIQSize":1024,"SLIQTimer":16,"CheckpointPenalty":8,"InOrder":true}}`,
 		"inorder L1Latency -1": `{"arch":"inorder","bench":"swim","warmup":500,"measure":2000,"inorder":{"Name":"C920","Mem":{"L1Latency":-1}}}`,
+		"r10-64 FetchWidth -1": `{"arch":"ooo","bench":"swim","warmup":500,"measure":2000,"ooo":{"Name":"R10-64","ROBSize":64,"IQSize":40,"LSQSize":512,"FetchWidth":-1}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -17,6 +17,8 @@ import (
 //
 //   - functional warming to a stream position, then a detailed run, is
 //     deterministic (two identically-prepared engines agree exactly);
+//   - a second Run call on one engine measures its own window, after its
+//     own warmup;
 //   - a checkpoint captured at that position and restored into a fresh
 //     engine reproduces the warmed engine's detailed run bit-for-bit (the
 //     identity checkpointed sampling and sweep resume are built on);
@@ -62,6 +64,13 @@ func TestEngineConformance(t *testing.T) {
 			if !reflect.DeepEqual(ref, again) {
 				t.Fatalf("detailed run not deterministic:\nfirst: %s\nsecond: %s",
 					statsJSON(t, ref), statsJSON(t, again))
+			}
+
+			// Every Run call opens its own measurement window: a second
+			// call with warmup on the same engine reports only its own
+			// measured instructions.
+			if st := e1.Run(g1, warmup, measure); st.Committed != measure {
+				t.Errorf("second Run(%d, %d) on one engine: committed %d, want %d", warmup, measure, st.Committed, measure)
 			}
 
 			// Checkpoint/resume identity: snapshot a warmed donor at pos,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -161,6 +162,65 @@ func TestValidateRejectsUnbuildable(t *testing.T) {
 		if !panicked {
 			t.Errorf("%s: NewEngine built the machine", c.name)
 		}
+	}
+}
+
+// TestValidateRejectsNegativeFields sets each integer field of every
+// preset's engine configuration, the functional-unit complements included
+// and the memory configuration (checked on its own) excluded, to -1, one
+// field at a time. Zero means "default" or "off" and no field has a meaning
+// below it, so Validate must refuse each spec, and the constructor, which
+// validates too, must refuse to build it: some of these values used to
+// panic inside a constructor or mid-run, and others simulated silently.
+func TestValidateRejectsNegativeFields(t *testing.T) {
+	configField := map[Arch]string{ArchOOO: "OOO", ArchDKIP: "DKIP", ArchInorder: "Inorder"}
+	memConfig := reflect.TypeOf(mem.Config{})
+	// intFields lists the index paths of typ's integer fields and names them.
+	var intFields func(typ reflect.Type, at []int, prefix string) (paths [][]int, names []string)
+	intFields = func(typ reflect.Type, at []int, prefix string) (paths [][]int, names []string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			path := append(append([]int(nil), at...), i)
+			switch {
+			case f.Type.Kind() == reflect.Int:
+				paths, names = append(paths, path), append(names, prefix+f.Name)
+			case f.Type.Kind() == reflect.Struct && f.Type != memConfig:
+				p, n := intFields(f.Type, path, prefix+f.Name+".")
+				paths, names = append(paths, p...), append(names, n...)
+			}
+		}
+		return paths, names
+	}
+	checked := 0
+	for _, preset := range PresetNames() {
+		base := MustPresetSpec(preset, "swim", 1000, 4000)
+		field, ok := configField[base.Arch]
+		if !ok {
+			t.Fatalf("%s: no config field for arch %s — extend the table", preset, base.Arch)
+		}
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: preset rejected: %v", preset, err)
+		}
+		paths, names := intFields(reflect.ValueOf(base).FieldByName(field).Type(), nil, "")
+		for i, path := range paths {
+			spec := base
+			reflect.ValueOf(&spec).Elem().FieldByName(field).FieldByIndex(path).SetInt(-1)
+			if err := spec.Validate(); err == nil {
+				t.Errorf("%s with %s -1: accepted", preset, names[i])
+			}
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				spec.NewEngine()
+				return false
+			}()
+			if !panicked {
+				t.Errorf("%s with %s -1: NewEngine built the machine", preset, names[i])
+			}
+			checked++
+		}
+	}
+	if checked < 100 {
+		t.Errorf("checked only %d preset fields", checked)
 	}
 }
 

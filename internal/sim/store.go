@@ -143,28 +143,35 @@ func (s *Store) Put(res *Result) error {
 	if err != nil {
 		return fmt.Errorf("sim: store put: %w", err)
 	}
-	path := s.path(r.Key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sim: store put: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("sim: store put: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: store put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: store put: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeAtomic(s.path(r.Key), data); err != nil {
 		return fmt.Errorf("sim: store put: %w", err)
 	}
 	return nil
+}
+
+// writeAtomic writes data to path through a temp file in path's directory,
+// created with the directory if need be, and renamed into place, so a
+// reader sees either no file or all of data. A failed write removes its
+// temp file.
+func writeAtomic(path string, data []byte) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Walk streams every valid entry to fn, one at a time, in ascending key
@@ -346,25 +353,7 @@ func (s *Store) PutBlob(kind, key string, data []byte) error {
 	if len(key) < 2 || kind == "" {
 		return fmt.Errorf("sim: store put blob: bad kind/key %q/%q", kind, key)
 	}
-	path := s.blobPath(kind, key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sim: store put blob: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("sim: store put blob: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: store put blob: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sim: store put blob: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeAtomic(s.blobPath(kind, key), data); err != nil {
 		return fmt.Errorf("sim: store put blob: %w", err)
 	}
 	return nil

@@ -157,11 +157,5 @@ func (t *Tee) Next() isa.Instr {
 // Name returns the wrapped generator's name.
 func (t *Tee) Name() string { return t.G.Name() }
 
-// Reset resets the wrapped generator and discards the recording.
-func (t *Tee) Reset() {
-	t.G.Reset()
-	t.recorded = t.recorded[:0]
-}
-
-// Recorded returns the instructions produced since the last Reset.
+// Recorded returns the instructions produced so far.
 func (t *Tee) Recorded() []isa.Instr { return t.recorded }

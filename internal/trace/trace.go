@@ -25,8 +25,6 @@ type Generator interface {
 	Next() isa.Instr
 	// Name identifies the workload (e.g. "mcf").
 	Name() string
-	// Reset restarts the stream from the beginning.
-	Reset()
 }
 
 // Take materializes the next n instructions from g.
