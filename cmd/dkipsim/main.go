@@ -14,9 +14,8 @@
 //	dkipsim -list
 //
 // -arch takes a machine preset (sim.PresetNames: the paper machines plus the
-// in-order calibration core), a bare engine name as printed in sim.Result
-// records (sim.ParseArch: the engine with its paper-default configuration),
-// or "limit" for the window-limit study core. The flags assemble one
+// in-order calibration core) or "limit" for the window-limit study core; an
+// unknown name exits with the preset list. The flags assemble one
 // sim.RunSpec which executes through the same run-orchestration layer as
 // cmd/experiments; -json prints the structured sim.Result record instead of
 // the human-readable summary. -cache-dir shares cmd/experiments' persistent
@@ -41,7 +40,7 @@ import (
 
 func main() {
 	var (
-		arch      = flag.String("arch", "dkip", "machine preset ("+strings.Join(sim.PresetNames(), ", ")+"), engine name, or limit")
+		arch      = flag.String("arch", "dkip", "machine preset ("+strings.Join(sim.PresetNames(), ", ")+") or limit")
 		bench     = flag.String("bench", "swim", "benchmark name (see -list)")
 		n         = flag.Uint64("n", 200_000, "instructions to measure")
 		warmup    = flag.Uint64("warmup", 20_000, "instructions to warm up (not measured)")
@@ -100,14 +99,8 @@ func main() {
 	default:
 		s, err := sim.PresetSpec(name, *bench, *warmup, *n)
 		if err != nil {
-			// Not a preset: accept a bare engine name (as printed in
-			// sim.Result records) with its paper-default configuration.
-			a, perr := sim.ParseArch(name)
-			if perr != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			s = sim.RunSpec{Arch: a, Bench: *bench, Warmup: *warmup, Measure: *n}
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 		spec = s
 		switch spec.Arch {
@@ -119,7 +112,6 @@ func main() {
 			// The in-order preset's memory system (the SG2042 socket) is
 			// part of the machine: override only what was explicitly
 			// flagged.
-			spec.Inorder.Mem = spec.Inorder.Mem.WithDefaults()
 			if l2Set {
 				spec.Inorder.Mem.L2Size = *l2
 			}

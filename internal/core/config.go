@@ -140,7 +140,12 @@ type Config struct {
 	NewPredictor func() predictor.Predictor `json:"-"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field, the memory
+// configuration's included, replaced by the paper's default. New applies it
+// implicitly; internal/sim applies it before hashing so that a zero Config
+// and an explicitly spelled-out default Config describe (and memoize as) the
+// same machine.
+func (c Config) WithDefaults() Config {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
@@ -176,9 +181,7 @@ func (c Config) withDefaults() Config {
 	if c.MPFU == (pipeline.FUConfig{}) {
 		c.MPFU = pipeline.DefaultFUConfig()
 	}
-	if c.Mem.L1Latency == 0 {
-		c.Mem = mem.DefaultConfig()
-	}
+	c.Mem = c.Mem.OrDefault()
 	if c.NewPredictor == nil {
 		c.NewPredictor = func() predictor.Predictor {
 			return predictor.NewPerceptron(4096, 24)
@@ -190,11 +193,34 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WithDefaults returns the configuration with every zero field replaced by
-// the paper's default. core.New applies it implicitly; internal/sim applies
-// it before hashing so that a zero Config and an explicitly spelled-out
-// default Config describe (and memoize as) the same machine.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
+// Defaults is WithDefaults behind the engine.Config contract.
+func (c Config) Defaults() engine.Config { return c.WithDefaults() }
+
+// Params returns the engine parameters of the configuration.
+func (c Config) Params() engine.Params {
+	return engine.Params{
+		Family:          "core",
+		Name:            c.Name,
+		FetchWidth:      c.FetchWidth,
+		RenameWidth:     c.RenameWidth,
+		FrontEndDepth:   c.FrontEndDepth,
+		RedirectPenalty: c.RedirectPenalty,
+		LSQSize:         c.LSQSize,
+		MemPorts:        c.MemPorts,
+		MSHRs:           c.MSHRs,
+		// The window must span the seq range between the oldest live
+		// low-locality instruction and rename; give it ample slack beyond
+		// the structural occupancy bound (rename interlocks on the
+		// horizon).
+		WindowCap:      c.ROBSize + 2*c.LLIBSize + 2*c.MPIQSize + 8192,
+		Mem:            c.Mem,
+		NewPredictor:   c.NewPredictor,
+		WithConfidence: true,
+	}
+}
+
+// InFlight is the larger of the LLIB and the Aging-ROB.
+func (c Config) InFlight() uint64 { return uint64(max(c.LLIBSize, c.ROBSize)) }
 
 // Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
@@ -211,7 +237,7 @@ func (c Config) Validate() error {
 	if c.LLRFBanks <= 0 || c.LLRFBankSize <= 0 {
 		return fmt.Errorf("core: %s: LLRF geometry must be positive", c.Name)
 	}
-	if err := c.withDefaults().Mem.Validate(); err != nil {
+	if err := c.Mem.OrDefault().Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", c.Name, err)
 	}
 	return nil
@@ -224,5 +250,5 @@ func Bool(v bool) *bool { return &v }
 // parameters with Table 3's defaults (40-entry out-of-order CP queues,
 // 20-entry in-order MPs, 2048-entry LLIBs, 512KB L2, 400-cycle memory).
 func DefaultConfig() Config {
-	return Config{Name: "DKIP-2048"}.withDefaults()
+	return Config{Name: "DKIP-2048"}.WithDefaults()
 }

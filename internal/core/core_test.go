@@ -169,7 +169,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := Config{ROBTimer: 32, ROBSize: 16}
-	if err := bad.withDefaults().Validate(); err == nil {
+	if err := bad.WithDefaults().Validate(); err == nil {
 		t.Error("ROB smaller than timer should be invalid")
 	}
 	func() {

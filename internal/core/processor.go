@@ -52,30 +52,12 @@ type Processor struct {
 
 // New builds a D-KIP. It panics on invalid configuration.
 func New(cfg Config) *Processor {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	p := &Processor{cfg: cfg}
-	p.Init(engine.Params{
-		Family:          "core",
-		Name:            cfg.Name,
-		FetchWidth:      cfg.FetchWidth,
-		RenameWidth:     cfg.RenameWidth,
-		FrontEndDepth:   cfg.FrontEndDepth,
-		RedirectPenalty: cfg.RedirectPenalty,
-		LSQSize:         cfg.LSQSize,
-		MemPorts:        cfg.MemPorts,
-		MSHRs:           cfg.MSHRs,
-		// The window must span the seq range between the oldest live
-		// low-locality instruction and rename; give it ample slack beyond
-		// the structural occupancy bound (rename interlocks on the
-		// horizon).
-		WindowCap:      cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + 8192,
-		Mem:            cfg.Mem,
-		NewPredictor:   cfg.NewPredictor,
-		WithConfidence: true,
-	}, p)
+	p.Init(cfg.Params(), p)
 	p.cpInt = p.NewIssueQueue(pipeline.QInt, cfg.CPIQSize, cfg.CPInOrder, 0)
 	p.cpFP = p.NewIssueQueue(pipeline.QFP, cfg.CPIQSize, cfg.CPInOrder, 0)
 	p.cpFU = pipeline.NewFUPool(cfg.CPFU)

@@ -42,7 +42,7 @@ func TestRandomConfigsRun(t *testing.T) {
 			return false
 		}
 		for i := 0; i < 2; i++ {
-			if st.MaxLLIBInstrs[i] > cfg.withDefaults().LLIBSize {
+			if st.MaxLLIBInstrs[i] > cfg.WithDefaults().LLIBSize {
 				t.Logf("config %+v LLIB overflow", cfg)
 				return false
 			}

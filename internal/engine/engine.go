@@ -18,7 +18,8 @@
 // Architecture models (internal/core, internal/ooo) embed an Engine and
 // implement Model: a configuration plus stage hooks contributing the
 // machine's issue topology and structural hazards. internal/inorder is a
-// configuration of internal/ooo.
+// configuration of internal/ooo. All three configurations implement Config,
+// whose Params each constructor initializes its Engine from.
 package engine
 
 import (
@@ -32,11 +33,34 @@ import (
 	"dkip/internal/trace"
 )
 
+// Config is the contract every model's configuration implements
+// (core.Config, ooo.Config and inorder.Config), through which the
+// orchestration layer defaults, validates, sizes and keys a machine without
+// knowing its type. Validate, Params and InFlight read the configuration as
+// given, so callers apply Defaults first.
+type Config interface {
+	// Defaults returns the configuration with every zero field, the memory
+	// configuration's included, replaced by its default.
+	Defaults() Config
+	// Validate reports configuration errors, the memory hierarchy's
+	// included.
+	Validate() error
+	// Params returns the engine parameters the model's constructor
+	// initializes its engine from.
+	Params() Params
+	// InFlight returns the machine's in-flight instruction capacity, which
+	// scales a sampled run's per-interval detailed warmup.
+	InFlight() uint64
+}
+
 // Params is the architecture-independent slice of a model's configuration.
 type Params struct {
-	// Family is the model family name ("core", "ooo", "inorder"); it
-	// prefixes engine panics and errors so diagnostics keep their
-	// pre-unification texts.
+	// Family is the model family name, "core" or "ooo" (the in-order core
+	// is an ooo configuration). It prefixes engine panics and errors, and
+	// architectural-checkpoint keys: checkpoints of one family have one
+	// structure (the D-KIP's carry a confidence-estimator section the
+	// others lack), and the memory and predictor configurations are keyed
+	// beside it.
 	Family string
 	// Name is the configuration's display name.
 	Name string

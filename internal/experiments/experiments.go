@@ -227,21 +227,9 @@ type backendError struct{ err error }
 // keyed by job key. Identical specs — within this call or against anything
 // the backend has executed before — simulate once.
 func runAll(r sim.Backend, jobs []job) map[string]*pipeline.Stats {
-	specs := make([]sim.RunSpec, len(jobs))
-	for i, j := range jobs {
-		specs[i] = j.spec
-	}
-	results, err := r.RunAll(specs)
-	if err != nil {
-		// Specs are built from registered configurations and benchmark
-		// names, so a local failure is a programming error — but a remote
-		// backend legitimately fails on transport; RunWith turns this into
-		// an ordinary error either way.
-		panic(backendError{fmt.Errorf("experiments: %w", err)})
-	}
 	out := make(map[string]*pipeline.Stats, len(jobs))
-	for i, j := range jobs {
-		out[j.key] = results[i].Stats
+	for k, res := range runAllResults(r, jobs) {
+		out[k] = res.Stats
 	}
 	return out
 }
@@ -255,6 +243,10 @@ func runAllResults(r sim.Backend, jobs []job) map[string]*sim.Result {
 	}
 	results, err := r.RunAll(specs)
 	if err != nil {
+		// Specs are built from registered configurations and benchmark
+		// names, so a local failure is a programming error — but a remote
+		// backend legitimately fails on transport; RunWith turns this into
+		// an ordinary error either way.
 		panic(backendError{fmt.Errorf("experiments: %w", err)})
 	}
 	out := make(map[string]*sim.Result, len(jobs))

@@ -22,6 +22,7 @@ import (
 
 	"dkip/internal/engine"
 	"dkip/internal/mem"
+	"dkip/internal/ooo"
 	"dkip/internal/pipeline"
 	"dkip/internal/predictor"
 )
@@ -62,7 +63,11 @@ type Config struct {
 	NewPredictor func() predictor.Predictor `json:"-"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field, the memory
+// configuration's included, replaced by its default. New applies it
+// implicitly; internal/sim applies it before hashing so equivalent
+// configurations memoize as the same machine.
+func (c Config) WithDefaults() Config {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
@@ -81,9 +86,7 @@ func (c Config) withDefaults() Config {
 	if c.FU == (pipeline.FUConfig{}) {
 		c.FU = pipeline.DefaultFUConfig()
 	}
-	if c.Mem.L1Latency == 0 {
-		c.Mem = mem.DefaultConfig()
-	}
+	c.Mem = c.Mem.OrDefault()
 	if c.NewPredictor == nil {
 		c.NewPredictor = func() predictor.Predictor {
 			return predictor.NewGshare(4096)
@@ -92,10 +95,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WithDefaults returns the configuration with every zero field replaced by
-// its default. inorder.New applies it implicitly; internal/sim applies it
-// before hashing so equivalent configurations memoize as the same machine.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
+// Defaults is WithDefaults behind the engine.Config contract.
+func (c Config) Defaults() engine.Config { return c.WithDefaults() }
+
+// Params returns the engine parameters of the configuration: those of the
+// out-of-order model it maps onto.
+func (c Config) Params() engine.Params { return c.oooConfig().Params() }
+
+// InFlight is the scoreboarded window.
+func (c Config) InFlight() uint64 { return uint64(c.Window) }
+
+// oooConfig maps the configuration onto the out-of-order model. The in-order
+// flag is the whole microarchitecture: the queue only ever offers its oldest
+// instruction, so an unready head blocks issue entirely, and the ROB is the
+// scoreboarded window retired in order.
+func (c Config) oooConfig() ooo.Config {
+	return ooo.Config{
+		Name:            c.Name,
+		FetchWidth:      c.FetchWidth,
+		RenameWidth:     c.RenameWidth,
+		IssueWidth:      c.IssueWidth,
+		CommitWidth:     c.CommitWidth,
+		FrontEndDepth:   c.FrontEndDepth,
+		RedirectPenalty: c.RedirectPenalty,
+		ROBSize:         c.Window,
+		IQSize:          c.QueueSize,
+		InOrder:         true,
+		LSQSize:         c.LSQSize,
+		MemPorts:        c.MemPorts,
+		MSHRs:           c.MSHRs,
+		FU:              c.FU,
+		Mem:             c.Mem,
+		NewPredictor:    c.NewPredictor,
+	}
+}
 
 // Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
@@ -111,7 +144,7 @@ func (c Config) Validate() error {
 	if c.Window > 1<<16 {
 		return fmt.Errorf("inorder: %s: Window %d unreasonably large", c.Name, c.Window)
 	}
-	if err := c.withDefaults().Mem.Validate(); err != nil {
+	if err := c.Mem.OrDefault().Validate(); err != nil {
 		return fmt.Errorf("inorder: %s: %w", c.Name, err)
 	}
 	return nil

@@ -94,7 +94,12 @@ func (c Config) WithL2Size(bytes int) Config {
 	return c
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with zero geometry fields (line
+// size, associativities) replaced by their defaults. The Hierarchy applies it
+// implicitly, and so does each processor configuration's WithDefaults, which
+// internal/sim applies before hashing so equivalent hierarchies memoize as
+// the same machine.
+func (c Config) WithDefaults() Config {
 	if c.LineSize == 0 {
 		c.LineSize = 64
 	}
@@ -107,11 +112,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WithDefaults returns the configuration with zero geometry fields (line
-// size, associativities) replaced by their defaults. The Hierarchy applies it
-// implicitly; internal/sim applies it before hashing so equivalent
-// hierarchies memoize as the same machine.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
+// OrDefault returns the configuration with its geometry defaults applied,
+// or DefaultConfig when the configuration is unset (zero L1 latency): the
+// memory defaults every processor configuration's WithDefaults applies.
+func (c Config) OrDefault() Config {
+	if c.L1Latency == 0 {
+		c = DefaultConfig()
+	}
+	return c.WithDefaults()
+}
 
 // Validate reports an error for nonsensical configurations, and for any
 // configuration NewHierarchy cannot build: a cache geometry NewCache
@@ -127,7 +136,7 @@ func (c Config) Validate() error {
 	if c.MemLatency > 0 && c.L2Latency == 0 && c.L1Size == 0 {
 		return fmt.Errorf("mem: config %q: perfect L1 cannot miss to memory", c.Name)
 	}
-	d := c.withDefaults()
+	d := c.WithDefaults()
 	if d.L1Size > 0 {
 		if err := checkGeometry("L1", d.L1Size, d.LineSize, d.L1Assoc); err != nil {
 			return fmt.Errorf("mem: config %q: %w", c.Name, err)
@@ -157,7 +166,7 @@ type Hierarchy struct {
 // NewHierarchy builds the hierarchy for a configuration. It panics on an
 // invalid configuration (experiment definitions are code, not user input).
 func NewHierarchy(cfg Config) *Hierarchy {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}

@@ -96,7 +96,11 @@ type Config struct {
 	RunaheadDepth int
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the configuration with every zero field, the memory
+// configuration's included, replaced by its default. New applies it
+// implicitly; internal/sim applies it before hashing so equivalent
+// configurations memoize as the same machine.
+func (c Config) WithDefaults() Config {
 	def := func(v *int, d int) {
 		if *v == 0 {
 			*v = d
@@ -114,9 +118,7 @@ func (c Config) withDefaults() Config {
 	if c.FU == (pipeline.FUConfig{}) {
 		c.FU = pipeline.DefaultFUConfig()
 	}
-	if c.Mem.L1Latency == 0 {
-		c.Mem = mem.DefaultConfig()
-	}
+	c.Mem = c.Mem.OrDefault()
 	if c.NewPredictor == nil {
 		c.NewPredictor = func() predictor.Predictor {
 			return predictor.NewPerceptron(4096, 24)
@@ -130,10 +132,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WithDefaults returns the configuration with every zero field replaced by
-// its default. ooo.New applies it implicitly; internal/sim applies it before
-// hashing so equivalent configurations memoize as the same machine.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
+// Defaults is WithDefaults behind the engine.Config contract.
+func (c Config) Defaults() engine.Config { return c.WithDefaults() }
+
+// Params returns the engine parameters of the configuration.
+func (c Config) Params() engine.Params {
+	winCap := c.ROBSize + c.SLIQSize + 64
+	if c.SLIQSize > 0 {
+		// Out-of-order commit lets the rename/commit spread exceed the
+		// structural window while the in-order counter catches up.
+		winCap += 8192
+	}
+	return engine.Params{
+		Family:          "ooo",
+		Name:            c.Name,
+		FetchWidth:      c.FetchWidth,
+		RenameWidth:     c.RenameWidth,
+		FrontEndDepth:   c.FrontEndDepth,
+		RedirectPenalty: c.RedirectPenalty,
+		LSQSize:         c.LSQSize,
+		MemPorts:        c.MemPorts,
+		MSHRs:           c.MSHRs,
+		WindowCap:       winCap,
+		Mem:             c.Mem,
+		NewPredictor:    c.NewPredictor,
+	}
+}
+
+// InFlight is the ROB plus the slow-lane queue.
+func (c Config) InFlight() uint64 { return uint64(c.ROBSize + c.SLIQSize) }
 
 // Validate reports configuration errors, the memory hierarchy's included.
 func (c Config) Validate() error {
@@ -149,7 +176,7 @@ func (c Config) Validate() error {
 	if c.SLIQSize > 0 && c.InOrder {
 		return fmt.Errorf("ooo: %s: the SLIQ requires out-of-order primary queues", c.Name)
 	}
-	if err := c.withDefaults().Mem.Validate(); err != nil {
+	if err := c.Mem.OrDefault().Validate(); err != nil {
 		return fmt.Errorf("ooo: %s: %w", c.Name, err)
 	}
 	return nil

@@ -45,34 +45,15 @@ func New(cfg Config) *Processor { return build(cfg, true) }
 func NewUnified(cfg Config) *Processor { return build(cfg, false) }
 
 func build(cfg Config, clustered bool) *Processor {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	winCap := cfg.ROBSize + cfg.SLIQSize + 64
-	if cfg.SLIQSize > 0 {
-		// Out-of-order commit lets the rename/commit spread exceed the
-		// structural window while the in-order counter catches up.
-		winCap += 8192
 	}
 	p := &Processor{
 		cfg: cfg,
 		fus: pipeline.NewFUPool(cfg.FU),
 	}
-	p.Init(engine.Params{
-		Family:          "ooo",
-		Name:            cfg.Name,
-		FetchWidth:      cfg.FetchWidth,
-		RenameWidth:     cfg.RenameWidth,
-		FrontEndDepth:   cfg.FrontEndDepth,
-		RedirectPenalty: cfg.RedirectPenalty,
-		LSQSize:         cfg.LSQSize,
-		MemPorts:        cfg.MemPorts,
-		MSHRs:           cfg.MSHRs,
-		WindowCap:       winCap,
-		Mem:             cfg.Mem,
-		NewPredictor:    cfg.NewPredictor,
-	}, p)
+	p.Init(cfg.Params(), p)
 	p.iqI = p.NewIssueQueue(pipeline.QInt, cfg.IQSize, cfg.InOrder, 0)
 	p.iqAll = []*pipeline.IssueQueue{p.iqI}
 	if clustered {

@@ -210,7 +210,7 @@ func TestWarmupExcluded(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{ROBSize: 64}.withDefaults()
+	cfg := Config{ROBSize: 64}.WithDefaults()
 	if cfg.FetchWidth != 4 || cfg.IssueWidth != 4 || cfg.CommitWidth != 4 {
 		t.Error("widths should default to 4")
 	}
@@ -253,7 +253,7 @@ func TestNamedConfigs(t *testing.T) {
 	if lc.ROBSize != 1024 {
 		t.Error("limit core size wrong")
 	}
-	if lc := lc.withDefaults(); lc.IQSize != 1024 || lc.LSQSize != 1024 {
+	if lc := lc.WithDefaults(); lc.IQSize != 1024 || lc.LSQSize != 1024 {
 		t.Error("limit core queues must equal the ROB")
 	}
 }

@@ -20,17 +20,17 @@ import (
 // is routed to one daemon by rendezvous hashing on its content key, so the
 // same spec always lands on the same daemon's singleflight and memo cache no
 // matter which client submits it; batches are chunked into bounded
-// sub-batches and submitted concurrently under an in-flight window. Each
-// member Client retries transient failures with backoff; when a member's
-// retries exhaust, the Pool marks it down for a cooldown and re-routes its
-// keys across the survivors (rendezvous hashing guarantees the survivors'
-// own assignments do not move). When every backend is down, the Pool fails
-// over to an optional local sim.Runner so a sweep always finishes. One
-// caveat: a member that accepts submissions but never answers them is, by
-// default, indistinguishable from one running a long simulation — bound
-// submissions with PoolSubmitTimeout when sweep latency is known so such a
-// member re-routes too, or race its chunks against idle peers with
-// PoolSteal.
+// sub-batches and submitted concurrently under an in-flight window of two
+// chunks per seed member. Each member Client retries transient failures
+// with backoff; when a member's retries exhaust, the Pool marks it down for
+// a cooldown and re-routes its keys across the survivors (rendezvous
+// hashing guarantees the survivors' own assignments do not move). When
+// every backend is down, the Pool fails over to an optional local
+// sim.Runner so a sweep always finishes. One caveat: a member that accepts
+// submissions but never answers them is, by default, indistinguishable from
+// one running a long simulation — bound submissions with PoolSubmitTimeout
+// when sweep latency is known so such a member re-routes too, or race its
+// chunks against idle peers with PoolSteal.
 //
 // With PoolMembership the ring is dynamic: between re-route rounds the Pool
 // refreshes its member set from the fleet's own GET /v1/members view, so
@@ -108,16 +108,6 @@ func PoolChunk(n int) PoolOption {
 	return func(p *Pool) {
 		if n > 0 {
 			p.chunk = n
-		}
-	}
-}
-
-// PoolWindow bounds chunk submissions in flight across the whole fleet
-// (default 2× the seed member count); n <= 0 keeps the default.
-func PoolWindow(n int) PoolOption {
-	return func(p *Pool) {
-		if n > 0 {
-			p.window = make(chan struct{}, n)
 		}
 	}
 }
@@ -234,9 +224,7 @@ func NewPool(bases []string, opts ...PoolOption) (*Pool, error) {
 	for _, b := range order {
 		p.members = append(p.members, p.newMember(b))
 	}
-	if p.window == nil {
-		p.window = make(chan struct{}, 2*len(p.members))
-	}
+	p.window = make(chan struct{}, 2*len(p.members))
 	return p, nil
 }
 

@@ -31,11 +31,15 @@ type ProgressEvent struct {
 	Final bool `json:"final,omitempty"`
 }
 
-// progress handler bounds, configurable via ServerOptions below.
+// progress handler bounds.
 const (
+	// defaultProgressInterval paces a stream whose request sets no
+	// ?interval=; minProgressInterval floors the ones that do.
 	defaultProgressInterval = time.Second
 	minProgressInterval     = 100 * time.Millisecond
-	defaultProgressBudget   = time.Hour
+	// progressBudget bounds how long one stream may stay open: the
+	// backstop against watchers of keys that will never resolve.
+	progressBudget = time.Hour
 	// maxProgressKeys bounds one stream's key set; a sweep larger than this
 	// should watch in slices (the Pool chunks submissions far smaller).
 	maxProgressKeys = 100000
@@ -64,7 +68,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("serve: progress key set exceeds the %d-key limit; watch the sweep in slices", maxProgressKeys), http.StatusBadRequest)
 		return
 	}
-	interval := s.progressInterval
+	interval := defaultProgressInterval
 	if q := r.URL.Query().Get("interval"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil {
@@ -107,7 +111,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	budget := time.NewTimer(s.progressBudget)
+	budget := time.NewTimer(progressBudget)
 	defer budget.Stop()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()

@@ -30,8 +30,6 @@ type Server struct {
 	gate               *fairShare
 	waitTimeout        time.Duration
 	streamWriteTimeout time.Duration
-	progressInterval   time.Duration
-	progressBudget     time.Duration
 	members            func() []Member
 	mux                *http.ServeMux
 
@@ -70,17 +68,6 @@ func StreamWriteTimeout(d time.Duration) ServerOption {
 	}
 }
 
-// ProgressBudget bounds how long one GET /v1/progress stream may stay open
-// (default one hour) — the backstop against watchers of keys that will
-// never resolve.
-func ProgressBudget(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.progressBudget = d
-		}
-	}
-}
-
 // WithMembers attaches the fleet-membership source behind GET /v1/members
 // (typically Registry.List). Without one the endpoint answers 404, which a
 // Pool treats as "membership not configured here" and leaves its ring
@@ -110,8 +97,6 @@ func NewServer(r *sim.Runner, store *sim.Store, opts ...ServerOption) *Server {
 		gate:               newFairShare(64),
 		waitTimeout:        time.Minute,
 		streamWriteTimeout: 30 * time.Second,
-		progressInterval:   defaultProgressInterval,
-		progressBudget:     defaultProgressBudget,
 	}
 	for _, o := range opts {
 		o(s)

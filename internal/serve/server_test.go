@@ -48,7 +48,8 @@ func newTestServer(t *testing.T, store *sim.Store, opts ...ServerOption) (*httpt
 
 // A wire round-trip must preserve the content key: encode, decode, re-key.
 func TestSpecWireRoundTrip(t *testing.T) {
-	for _, spec := range testSpecs() {
+	for _, name := range sim.PresetNames() {
+		spec := sim.MustPresetSpec(name, "swim", testWarmup, testMeasure)
 		ws, err := EncodeSpec(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -134,15 +135,17 @@ func TestSubmitSingleAndBatch(t *testing.T) {
 func TestSubmitRejectsInvalid(t *testing.T) {
 	ts, runner := newTestServer(t, nil)
 	for name, body := range map[string]string{
-		"bad json":       "{",
-		"unknown arch":   `{"arch":"vax","bench":"swim","warmup":1,"measure":1}`,
-		"unknown bench":  `{"arch":"dkip","bench":"nope","warmup":1,"measure":1}`,
-		"zero measure":   `{"arch":"dkip","bench":"swim","warmup":1,"measure":0}`,
-		"empty":          `{}`,
-		"both payloads":  `{"arch":"dkip","bench":"swim","warmup":1,"measure":1,"ooo":{},"dkip":{}}`,
-		"unknown field":  `{"arch":"dkip","bench":"swim","warmup":1,"measure":1,"bogus":3}`,
-		"invalid in set": `{"specs":[{"arch":"dkip","bench":"swim","warmup":1,"measure":1},{"arch":"dkip","bench":"nope","warmup":1,"measure":1}]}`,
-		"mixed forms":    `{"specs":[{"arch":"dkip","bench":"swim","warmup":1,"measure":1}],"arch":"dkip","bench":"swim","warmup":1,"measure":1}`,
+		"bad json":        "{",
+		"unknown arch":    `{"arch":"vax","bench":"swim","warmup":1,"measure":1}`,
+		"unknown bench":   `{"arch":"dkip","bench":"nope","warmup":1,"measure":1}`,
+		"zero measure":    `{"arch":"dkip","bench":"swim","warmup":1,"measure":0}`,
+		"empty":           `{}`,
+		"both payloads":   `{"arch":"dkip","bench":"swim","warmup":1,"measure":1,"ooo":{},"dkip":{}}`,
+		"ooo foreign":     `{"arch":"ooo","bench":"swim","warmup":1,"measure":1,"ooo":{"ROBSize":64},"inorder":{}}`,
+		"inorder foreign": `{"arch":"inorder","bench":"swim","warmup":1,"measure":1,"dkip":{}}`,
+		"unknown field":   `{"arch":"dkip","bench":"swim","warmup":1,"measure":1,"bogus":3}`,
+		"invalid in set":  `{"specs":[{"arch":"dkip","bench":"swim","warmup":1,"measure":1},{"arch":"dkip","bench":"nope","warmup":1,"measure":1}]}`,
+		"mixed forms":     `{"specs":[{"arch":"dkip","bench":"swim","warmup":1,"measure":1}],"arch":"dkip","bench":"swim","warmup":1,"measure":1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -13,27 +13,15 @@ import (
 )
 
 // presets maps the named machine configurations of the paper (plus the
-// calibration core) to spec constructors, so commands and examples can name
-// machines without importing the model packages.
-var presets = map[string]func(bench string, warmup, measure uint64) RunSpec{
-	"dkip": func(b string, w, m uint64) RunSpec {
-		return DKIPSpec(b, core.Config{}, w, m) // defaults = the paper's DKIP-2048
-	},
-	"r10-64": func(b string, w, m uint64) RunSpec {
-		return OOOSpec(b, ooo.R10K64(), w, m)
-	},
-	"r10-256": func(b string, w, m uint64) RunSpec {
-		return OOOSpec(b, ooo.R10K256(), w, m)
-	},
-	"r10-768": func(b string, w, m uint64) RunSpec {
-		return OOOSpec(b, ooo.R10K768(), w, m)
-	},
-	"kilo": func(b string, w, m uint64) RunSpec {
-		return OOOSpec(b, kilo.Config1024(), w, m)
-	},
-	"inorder": func(b string, w, m uint64) RunSpec {
-		return InorderSpec(b, inorder.C920(), w, m)
-	},
+// calibration core) to specs without a workload or scale, so commands and
+// examples can name machines without importing the model packages.
+var presets = map[string]RunSpec{
+	"dkip":    {Arch: ArchDKIP}, // defaults = the paper's DKIP-2048
+	"r10-64":  {Arch: ArchOOO, OOO: ooo.R10K64()},
+	"r10-256": {Arch: ArchOOO, OOO: ooo.R10K256()},
+	"r10-768": {Arch: ArchOOO, OOO: ooo.R10K768()},
+	"kilo":    {Arch: ArchOOO, OOO: kilo.Config1024()},
+	"inorder": {Arch: ArchInorder, Inorder: inorder.C920()},
 }
 
 // PresetNames lists the registered machine presets, sorted.
@@ -49,11 +37,12 @@ func PresetNames() []string {
 // PresetSpec builds a RunSpec for a named machine preset on a workload.
 // Unknown names error with the registered list.
 func PresetSpec(name, bench string, warmup, measure uint64) (RunSpec, error) {
-	f, ok := presets[name]
+	s, ok := presets[name]
 	if !ok {
 		return RunSpec{}, fmt.Errorf("sim: unknown machine preset %q (presets: %s)", name, strings.Join(PresetNames(), ", "))
 	}
-	return f(bench, warmup, measure), nil
+	s.Bench, s.Warmup, s.Measure = bench, warmup, measure
+	return s, nil
 }
 
 // MustPresetSpec is PresetSpec for preset names that are code, panicking on

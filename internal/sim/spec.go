@@ -4,12 +4,14 @@
 // A simulation run is described by a RunSpec: which engine (by Arch — the
 // out-of-order baseline family, the D-KIP, or the in-order calibration
 // core), its full configuration, the workload, and the warmup/measure scale.
-// Engines are registered in an archDesc table (arch.go); nothing else in the
-// layer switches on concrete processor types. A RunSpec has a deterministic
-// content hash (Key), computed over the *normalized* configuration —
-// presentation-only fields (Name) are excluded and paper defaults are
-// applied first — so two specs describing the same machine on the same
-// workload hash identically no matter how they were spelled.
+// Every engine's configuration implements engine.Config, so the layer reads
+// a spec's machine through one contract: one switch picks the live
+// configuration and one the constructor, and nothing else switches on the
+// engine. A RunSpec has a deterministic content hash (Key), computed over
+// the *normalized* configuration — presentation-only fields (Name) are
+// excluded and paper defaults are applied first — so two specs describing
+// the same machine on the same workload hash identically no matter how they
+// were spelled.
 //
 // The Runner executes specs on a bounded worker pool with singleflight-style
 // deduplication and an in-process memoizing cache keyed by that hash: the
@@ -35,31 +37,6 @@ import (
 	"dkip/internal/trace"
 	"dkip/internal/workload"
 )
-
-// Arch selects the simulation engine for a RunSpec.
-type Arch uint8
-
-// Engines.
-const (
-	// ArchOOO is the R10000-style out-of-order core (package ooo): the
-	// R10-* baselines, the limit-study cores, and — with the SLIQ
-	// extension enabled — the KILO-1024 baseline (package kilo).
-	ArchOOO Arch = iota
-	// ArchDKIP is the Decoupled KILO-Instruction Processor (package core).
-	ArchDKIP
-	// ArchInorder is the dual-issue in-order C920-class core (package
-	// inorder), the SG2042 hardware-calibration target.
-	ArchInorder
-)
-
-// String names the engine. Unregistered values render as "arch(N)", which
-// ParseArch round-trips.
-func (a Arch) String() string {
-	if d, ok := archByID[a]; ok {
-		return d.name
-	}
-	return fmt.Sprintf("arch(%d)", uint8(a))
-}
 
 // RunSpec is the canonical description of one simulation run. Exactly one of
 // OOO/DKIP/Inorder is meaningful, selected by Arch.
@@ -106,18 +83,23 @@ func InorderSpec(bench string, cfg inorder.Config, warmup, measure uint64) RunSp
 	return RunSpec{Arch: ArchInorder, Inorder: cfg, Bench: bench, Warmup: warmup, Measure: measure}
 }
 
-// normalized applies configuration defaults so that equivalent specs encode
-// identically, and zeroes the engine configs the spec does not use.
-func (s RunSpec) normalized() RunSpec {
-	desc(s.Arch).normalize(&s)
-	return s
+// config returns the spec's live engine configuration, as given. An Arch
+// outside the three engines selects the out-of-order one.
+func (s RunSpec) config() engine.Config {
+	switch s.Arch {
+	case ArchDKIP:
+		return s.DKIP
+	case ArchInorder:
+		return s.Inorder
+	default:
+		return s.OOO
+	}
 }
 
 // ConfigName returns the configuration's display name (after defaults, so a
 // zero D-KIP config reports the paper's "DKIP-2048").
 func (s RunSpec) ConfigName() string {
-	n := s.normalized()
-	return desc(s.Arch).configName(&n)
+	return s.config().Defaults().Params().Name
 }
 
 // Key returns the deterministic content hash identifying this run: engine,
@@ -125,7 +107,6 @@ func (s RunSpec) ConfigName() string {
 // function fields), workload, scale, and tag. Two specs with equal Keys
 // simulate identically; the Runner memoizes on it.
 func (s RunSpec) Key() string {
-	n := s.normalized()
 	h := sha256.New()
 	fmt.Fprintf(h, "arch=%s;bench=%s;warmup=%d;measure=%d;tag=%s;", s.Arch, s.Bench, s.Warmup, s.Measure, s.Tag)
 	// The sampling plan is part of the machine description only when it is
@@ -135,7 +116,7 @@ func (s RunSpec) Key() string {
 	if p := s.SamplePlan(); p.Enabled() {
 		fmt.Fprintf(h, "sample=%d/%d/%d;", p.Intervals, p.Interval, p.Warmup)
 	}
-	hashConfig(h, desc(s.Arch).config(&n))
+	hashConfig(h, s.config().Defaults())
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -152,8 +133,7 @@ func (s RunSpec) SamplePlan() sample.Plan {
 	if !s.Sample.Enabled() {
 		return sample.Plan{}
 	}
-	n := s.normalized()
-	return s.Sample.Complete(s.Warmup, s.Measure, desc(s.Arch).window(&n))
+	return s.Sample.Complete(s.Warmup, s.Measure, s.config().Defaults().InFlight())
 }
 
 // checkpointKey returns the content key of the architectural checkpoint at
@@ -164,11 +144,10 @@ func (s RunSpec) SamplePlan() sample.Plan {
 // geometry, so every sweep point over e.g. window sizes shares one
 // checkpoint set.
 func (s RunSpec) checkpointKey(pos uint64) string {
-	n := s.normalized()
-	d := desc(s.Arch)
+	p := s.config().Defaults().Params()
 	h := sha256.New()
-	fmt.Fprintf(h, "ckpt;family=%s;bench=%s;tag=%s;pred=%s;pos=%d;", d.ckptFamily, s.Bench, s.Tag, d.predictor(&n)().Name(), pos)
-	hashConfig(h, d.memConfig(&n))
+	fmt.Fprintf(h, "ckpt;family=%s;bench=%s;tag=%s;pred=%s;pos=%d;", p.Family, s.Bench, s.Tag, p.NewPredictor().Name(), pos)
+	hashConfig(h, p.Mem)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -186,7 +165,7 @@ func (s RunSpec) Memoizable() bool {
 // serve layer refuses it rather than silently simulating a different
 // machine.
 func (s RunSpec) Portable() bool {
-	return !hasOpaqueFields(desc(s.Arch).config(&s))
+	return !hasOpaqueFields(s.config())
 }
 
 // Validate reports spec errors: unknown workload, empty scale, a run longer
@@ -206,8 +185,7 @@ func (s RunSpec) Validate() error {
 	if err := s.SamplePlan().Validate(s.Measure); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	n := s.normalized()
-	if err := desc(s.Arch).validate(&n); err != nil {
+	if err := s.config().Defaults().Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
@@ -221,7 +199,14 @@ func (s RunSpec) Label() string {
 // NewEngine constructs the spec's machine behind the shared engine
 // interface: cold caches, untrained predictor, ready to Run.
 func (s RunSpec) NewEngine() sample.Engine {
-	return desc(s.Arch).newEngine(&s)
+	switch s.Arch {
+	case ArchDKIP:
+		return core.New(s.DKIP)
+	case ArchInorder:
+		return inorder.New(s.Inorder)
+	default:
+		return ooo.New(s.OOO)
+	}
 }
 
 // Simulate builds the spec's processor and runs it over the given generator,

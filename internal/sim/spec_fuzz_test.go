@@ -90,10 +90,8 @@ func FuzzSpecKey(f *testing.F) {
 		defaulted := spec
 		if archDKIP {
 			defaulted.DKIP = defaulted.DKIP.WithDefaults()
-			defaulted.DKIP.Mem = defaulted.DKIP.Mem.WithDefaults()
 		} else {
 			defaulted.OOO = defaulted.OOO.WithDefaults()
-			defaulted.OOO.Mem = defaulted.OOO.Mem.WithDefaults()
 		}
 		if defaulted.Key() != key {
 			t.Error("explicitly-set defaults hash differently from omitted ones")
