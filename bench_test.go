@@ -8,9 +8,9 @@
 // (use cmd/experiments for full-scale runs), reports headline numbers as
 // custom metrics, and logs the full table once.
 //
-// Every experiment goes through the process-wide shared sim.Runner, so runs
-// duplicated across figures (and across benchmark iterations) simulate once
-// per `go test -bench` process; the sims/op metric reports how many real
+// Every experiment goes through one shared sim.Runner, so runs duplicated
+// across figures (and across benchmark iterations) simulate once per
+// `go test -bench` process; the sims/op metric reports how many real
 // simulations each iteration cost after deduplication. Raw, uncached
 // simulator speed is measured separately by BenchmarkSimulatorRaw.
 package dkip
@@ -29,6 +29,9 @@ import (
 	"dkip/internal/sim"
 )
 
+// runner is the Runner every experiment benchmark shares.
+var runner = sim.NewRunner()
+
 // cacheDir optionally backs the shared Runner with a persistent result
 // store, so repeated `go test -bench` invocations warm-start:
 //
@@ -46,7 +49,7 @@ func TestMain(m *testing.M) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		experiments.UseRunner(sim.NewRunner(sim.WithStore(store)))
+		runner = sim.NewRunner(sim.WithStore(store))
 	}
 	os.Exit(m.Run())
 }
@@ -65,16 +68,16 @@ var logOnce sync.Map
 // plus the number of real (post-dedup) simulations per iteration.
 func runExperiment(b *testing.B, id string, metrics func(t *experiments.Table, b *testing.B)) {
 	b.Helper()
-	before := experiments.Runner().Metrics().Simulated
+	before := runner.Metrics().Simulated
 	var t *experiments.Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		t, err = experiments.Run(id, benchScale())
+		t, err = experiments.RunWith(runner, id, benchScale())
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	simulated := experiments.Runner().Metrics().Simulated - before
+	simulated := runner.Metrics().Simulated - before
 	b.ReportMetric(float64(simulated)/float64(b.N), "sims/op")
 	if _, dup := logOnce.LoadOrStore(id, true); !dup {
 		b.Logf("\n%s", t.String())

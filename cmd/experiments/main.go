@@ -43,16 +43,17 @@
 // read as zeros) — run every shard, then render with an unsharded pass over
 // the same -cache-dir.
 //
-// -remote http://host:port forwards every run to a dkipd daemon instead of
-// simulating locally: the daemon owns the worker pool, cache tiers, and
+// -remote http://host:port sends every run to a dkipd daemon instead of
+// simulating locally: the daemons own the worker pool, cache tiers, and
 // sharding, so -parallel/-shard are rejected alongside it — configure them
-// on the daemon. A comma-separated list federates a fleet of daemons
-// (serve.Pool): each run is routed to one daemon by its content key,
-// transient failures retry with backoff, and a daemon lost mid-sweep has
-// its keys re-routed to the survivors. With -remote-fallback the sweep
-// finishes on a local runner even when every daemon is down; -cache-dir is
-// only accepted alongside -remote in that combination (it backs the local
-// failover runner — the daemons' stores are configured on dkipd).
+// on the daemon. The URL list, one URL or several, seeds a serve.Pool: each
+// run is routed to one daemon by its content key and sent in 32-spec chunks
+// with two in flight per daemon, transient failures retry with backoff, and
+// a daemon lost mid-sweep has its keys re-routed to the survivors. With
+// -remote-fallback the sweep finishes on a local runner even when every
+// daemon is down; -cache-dir is only accepted alongside -remote in that
+// combination (it backs the local failover runner — the daemons' stores are
+// configured on dkipd).
 //
 // Fleet extras: -remote-refresh keeps the routing ring synced with the
 // fleet's own membership view (daemons started with -advertise), so hosts
@@ -100,9 +101,9 @@ func main() {
 		sampled        = flag.Bool("sample", false, "sampled simulation: functional warming with periodic detailed intervals (default plan, ~10x less detailed work)")
 		cacheDir       = flag.String("cache-dir", "", "persistent result-store directory (warm-starts later invocations)")
 		shard          = flag.String("shard", "", "simulate only shard i of n, as \"i/n\" (requires -cache-dir to be useful)")
-		remote         = flag.String("remote", "", "comma-separated dkipd base URLs: one forwards every run to that daemon, several federate a fleet (key-routed, retrying)")
+		remote         = flag.String("remote", "", "comma-separated dkipd base URLs seeding the fleet every run is sent to (key-routed, 32-spec chunks, two in flight per daemon, retrying); one URL is a one-seed fleet")
 		remoteFallback = flag.Bool("remote-fallback", false, "with -remote: finish the sweep on a local runner (sharing -cache-dir) when every daemon is unreachable")
-		remoteRefresh  = flag.Duration("remote-refresh", 15*time.Second, "with a -remote fleet: refresh the routing ring from the fleet's GET /v1/members view at this interval, discovering daemons that join or leave mid-sweep (0 pins the ring to the -remote list)")
+		remoteRefresh  = flag.Duration("remote-refresh", 15*time.Second, "with -remote: refresh the routing ring from the fleet's GET /v1/members view at this interval, discovering daemons that join or leave mid-sweep (0 pins the ring to the -remote list)")
 		clientID       = flag.String("client-id", "", "client identity submissions carry (X-Dkip-Client header; default host-pid) — the bucket the daemons' fair-share admission divides gate slots by")
 		progress       = flag.Bool("progress", false, "with -remote: stream live sweep progress (GET /v1/progress) to stderr")
 	)
@@ -165,45 +166,35 @@ func main() {
 		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stopSignals()
 		bases := strings.Split(*remote, ",")
-		if len(bases) == 1 && !*remoteFallback {
-			// The single-daemon path keeps PR-3 semantics: hard handshake,
-			// plain Client.
-			if err := serve.WaitHealthy(ctx, *remote, 5*time.Second); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			runner = serve.NewClient(*remote, serve.Identity(*clientID))
-		} else {
-			popts := []serve.PoolOption{serve.PoolIdentity(*clientID)}
-			if *remoteRefresh > 0 {
-				popts = append(popts, serve.PoolMembership(*remoteRefresh))
-			}
-			if *remoteFallback {
-				var fopts []sim.Option
-				if *cacheDir != "" {
-					store, err := sim.OpenStore(*cacheDir)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-					fopts = append(fopts, sim.WithStore(store))
-				}
-				popts = append(popts, serve.PoolFallback(sim.NewRunner(fopts...)))
-			}
-			pool, err := serve.NewPool(bases, popts...)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			if err := pool.WaitHealthy(ctx, 5*time.Second); err != nil {
-				if !*remoteFallback {
+		popts := []serve.PoolOption{serve.PoolIdentity(*clientID)}
+		if *remoteRefresh > 0 {
+			popts = append(popts, serve.PoolMembership(*remoteRefresh))
+		}
+		if *remoteFallback {
+			var fopts []sim.Option
+			if *cacheDir != "" {
+				store, err := sim.OpenStore(*cacheDir)
+				if err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(1)
 				}
-				fmt.Fprintf(os.Stderr, "experiments: %v; continuing on the local fallback runner\n", err)
+				fopts = append(fopts, sim.WithStore(store))
 			}
-			runner = pool
+			popts = append(popts, serve.PoolFallback(sim.NewRunner(fopts...)))
 		}
+		pool, err := serve.NewPool(bases, popts...)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if err := pool.WaitHealthy(ctx, 5*time.Second); err != nil {
+			if !*remoteFallback {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			fmt.Fprintf(os.Stderr, "experiments: %v; continuing on the local fallback runner\n", err)
+		}
+		runner = pool
 		if *progress {
 			// Watch the first listed daemon: every member sees fleet-wide
 			// completion through the shared store, so one watch point is
@@ -234,7 +225,6 @@ func main() {
 		}
 		runner = sim.NewRunner(opts...)
 	}
-	experiments.UseRunner(runner)
 
 	ids := []string{*run}
 	if *run == "all" {

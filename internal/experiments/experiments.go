@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"dkip/internal/core"
 	"dkip/internal/inorder"
@@ -102,7 +101,7 @@ func (t *Table) CSV() string {
 // registry maps experiment ids to their implementations. Every
 // implementation simulates exclusively through the sim.Backend it is handed
 // — a local Runner (overlapping runs across experiments memoize per
-// process) or a serve.Client forwarding to a shared dkipd daemon.
+// Runner) or a serve.Pool sending them to a dkipd fleet.
 var registry = map[string]struct {
 	title string
 	fn    func(sim.Backend, Scale) *Table
@@ -149,39 +148,6 @@ func IDs() []string {
 func Title(id string) (string, bool) {
 	e, ok := registry[id]
 	return e.title, ok
-}
-
-// shared is the process-wide Backend behind Run: every figure, table,
-// ablation, command, and benchmark that goes through this package shares its
-// memo cache, so e.g. the default D-KIP simulated for Figure 9 is reused by
-// Figures 13/14 and most ablation baselines.
-var (
-	sharedMu sync.Mutex
-	shared   sim.Backend = sim.NewRunner()
-)
-
-// Runner returns the process-wide shared Backend (for metrics inspection and
-// cmd wiring).
-func Runner() sim.Backend {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	return shared
-}
-
-// UseRunner replaces the process-wide shared Backend, returning the previous
-// one. cmd/experiments installs a Runner sized by -parallel (or a remote
-// client when -remote is set); tests install instrumented Runners.
-func UseRunner(r sim.Backend) sim.Backend {
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	prev := shared
-	shared = r
-	return prev
-}
-
-// Run executes one experiment by id on the process-wide shared Runner.
-func Run(id string, s Scale) (*Table, error) {
-	return RunWith(Runner(), id, s)
 }
 
 // RunWith executes one experiment by id, simulating through r. Backend

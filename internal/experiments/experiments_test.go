@@ -4,8 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"dkip/internal/sim"
 	"dkip/internal/workload"
 )
+
+// testRunner is the Runner the package's tests share, so runs that overlap
+// across experiments and tests simulate once per test binary.
+var testRunner = sim.NewRunner()
 
 func tiny() Scale { return Scale{Warmup: 2_000, Measure: 8_000} }
 
@@ -30,14 +35,14 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", tiny()); err == nil {
+	if _, err := RunWith(testRunner, "nope", tiny()); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }
 
 func TestStaticTables(t *testing.T) {
 	for _, id := range []string{"table1", "table2", "table3"} {
-		tab, err := Run(id, tiny())
+		tab, err := RunWith(testRunner, id, tiny())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -51,7 +56,7 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	tab, _ := Run("table1", tiny())
+	tab, _ := RunWith(testRunner, "table1", tiny())
 	if len(tab.Rows) != 6 {
 		t.Fatalf("table 1 rows = %d, want 6", len(tab.Rows))
 	}
@@ -81,7 +86,7 @@ func TestFigure3Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	tab, err := Run("fig3", tiny())
+	tab, err := RunWith(testRunner, "fig3", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +102,7 @@ func TestFigure13Tiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	tab, err := Run("fig13", tiny())
+	tab, err := RunWith(testRunner, "fig13", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestGoldenTables(t *testing.T) {
 			if testing.Short() && simulated(id) {
 				t.Skip("simulation experiment")
 			}
-			tab, err := Run(id, goldenScale())
+			tab, err := RunWith(testRunner, id, goldenScale())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -54,8 +54,8 @@ func TestOverlappingFiguresSimulateOnce(t *testing.T) {
 	}
 }
 
-// Re-running an experiment on the shared process Runner must not simulate
-// anything the second time.
+// Re-running an experiment on one Runner must not simulate anything the
+// second time.
 func TestRepeatedExperimentFullyCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
@@ -76,19 +76,6 @@ func TestRepeatedExperimentFullyCached(t *testing.T) {
 	if len(tab.Rows) != len(workload.SuiteNames(workload.SpecINT)) {
 		t.Errorf("cached re-run produced %d rows", len(tab.Rows))
 	}
-}
-
-// UseRunner swaps the process-wide runner and hands back the previous one.
-func TestUseRunnerSwaps(t *testing.T) {
-	orig := Runner()
-	repl := sim.NewRunner()
-	if prev := UseRunner(repl); prev != orig {
-		t.Error("UseRunner did not return the previous runner")
-	}
-	if Runner() != repl {
-		t.Error("Runner() does not see the replacement")
-	}
-	UseRunner(orig)
 }
 
 // failingBackend simulates a remote daemon dying mid-sweep: every submission

@@ -10,7 +10,7 @@ import (
 // This file is the shared call-graph / lock-tracking substrate under the
 // three concurrency analyzers (lockorder, goroleak, guardedstate). It models
 // lock identity at two granularities — a lockClass names a mutex declaration
-// ("serve.member.mu", "experiments.sharedMu"), a lockRef pins a concrete
+// ("serve.member.mu", "serve.Pool.membersMu"), a lockRef pins a concrete
 // instance (root object + selector path) — and provides a flow-sensitive
 // must-hold walker over function bodies: at every acquire, call, field
 // access, and go statement it reports the set of locks provably held on

@@ -11,7 +11,6 @@ import (
 	"net/url"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"dkip/internal/sim"
@@ -31,36 +30,24 @@ func defaultIdentity() string {
 	return fmt.Sprintf("%s-%d", host, os.Getpid())
 }
 
-// Client is a sim.Backend that forwards every spec to a dkipd daemon. Run
-// and RunAll block until the daemon resolves the submission (sharing its
-// singleflight, memo cache, and store with every other client); Results
-// accumulates the unique records this client has seen, key-sorted, so
-// cmd/experiments -remote -json emits the same per-run artifact section a
-// local run would. Metrics reports the daemon's cumulative counters — they
-// cover all clients, which is the point: a second client submitting the
-// same sweep shows up there as dedup, not as fresh simulation.
+// Client is the transport to one dkipd daemon: Run and RunAll submit specs
+// and block until the daemon resolves them (sharing its singleflight, memo
+// cache, and store with every other client), and the metadata calls
+// (Metrics, Members, Progress, Get, Manifest) read its state. Pool drives
+// one Client per fleet member and is the sim.Backend remote sweeps run
+// through. Metrics reports the daemon's cumulative counters — they cover
+// all clients, which is the point: a second client submitting the same
+// sweep shows up there as dedup, not as fresh simulation.
 type Client struct {
-	base          string
-	hc            *http.Client
-	retry         RetryPolicy
-	metaTimeout   time.Duration
-	submitTimeout time.Duration
-	identity      string
-
-	mu      sync.Mutex
-	results map[string]*sim.Result
+	base        string
+	hc          *http.Client
+	retry       retryPolicy
+	metaTimeout time.Duration
+	identity    string
 }
-
-var _ sim.Backend = (*Client)(nil)
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithRetry replaces the submission retry policy (default DefaultRetry).
-// RetryPolicy{Attempts: 1} disables retries.
-func WithRetry(p RetryPolicy) ClientOption {
-	return func(c *Client) { c.retry = p }
-}
 
 // MetaTimeout bounds metadata requests — metrics, manifest streams, and
 // non-waiting keyed GETs — with a per-request context (default 30s);
@@ -82,24 +69,14 @@ func Identity(id string) ClientOption {
 	}
 }
 
-// SubmitTimeout bounds each POST /v1/runs attempt (default none: full-scale
-// simulations legitimately take minutes, so only the caller knows a safe
-// bound). With a bound, a daemon that accepts submissions but never answers
-// — a wedged store mount, a deadlocked host — becomes a transient failure
-// the retry and pool-failover machinery can act on, instead of holding the
-// sweep forever.
-func SubmitTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.submitTimeout = d }
-}
-
 // NewClient builds a client for the daemon at base (e.g.
 // "http://localhost:8321"). Simulation submissions get no overall timeout —
 // full-scale runs legitimately take minutes and the daemon bounds its own
 // work — but connecting is bounded (a blackholed host must fail fast enough
 // for retries and pool failover to act, not stall for the OS connect
-// default), submissions are retried with backoff on transient failures
-// (WithRetry), and every metadata endpoint gets a per-request context
-// timeout (MetaTimeout) so a hung daemon can never stall the CLI forever.
+// default), submissions are retried with backoff on transient failures,
+// and every metadata endpoint gets a per-request context timeout
+// (MetaTimeout) so a hung daemon can never stall the CLI forever.
 func NewClient(base string, opts ...ClientOption) *Client {
 	// Clone the default transport rather than replacing it, keeping proxy
 	// support, the TLS handshake timeout, and connection pooling; only the
@@ -109,10 +86,9 @@ func NewClient(base string, opts ...ClientOption) *Client {
 	c := &Client{
 		base:        strings.TrimRight(base, "/"),
 		hc:          &http.Client{Transport: tr},
-		retry:       DefaultRetry,
+		retry:       defaultRetry,
 		metaTimeout: 30 * time.Second,
 		identity:    defaultIdentity(),
-		results:     make(map[string]*sim.Result),
 	}
 	for _, o := range opts {
 		o(c)
@@ -146,13 +122,6 @@ func (c *Client) Run(spec sim.RunSpec) (*sim.Result, error) {
 // trip (submit and decode) is retried with capped backoff on transient
 // failures: a daemon restart mid-sweep costs one backoff, not the sweep.
 func (c *Client) RunAll(specs []sim.RunSpec) ([]*sim.Result, error) {
-	return c.runAll(context.Background(), specs)
-}
-
-// runAll is RunAll under a caller-supplied context: the Pool's work-stealing
-// path cancels the slower of two racing submissions through it. Cancellation
-// surfaces as a non-transient error, so the retry loop stops immediately.
-func (c *Client) runAll(ctx context.Context, specs []sim.RunSpec) ([]*sim.Result, error) {
 	wire := make([]Spec, len(specs))
 	for i, s := range specs {
 		ws, err := EncodeSpec(s)
@@ -168,16 +137,9 @@ func (c *Client) runAll(ctx context.Context, specs []sim.RunSpec) ([]*sim.Result
 		return nil, fmt.Errorf("serve: encode submission: %w", err)
 	}
 	var rr RunsResponse
+	ctx := context.Background()
 	err = c.retry.Do(ctx, func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		attemptCtx, cancel := ctx, context.CancelFunc(func() {})
-		if c.submitTimeout > 0 {
-			attemptCtx, cancel = context.WithTimeout(ctx, c.submitTimeout)
-		}
-		defer cancel()
-		req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, c.base+"/v1/runs", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/runs", bytes.NewReader(body))
 		if err != nil {
 			return fmt.Errorf("serve: submit to %s: %w", c.base, err)
 		}
@@ -211,17 +173,6 @@ func (c *Client) runAll(ctx context.Context, specs []sim.RunSpec) ([]*sim.Result
 			return nil, fmt.Errorf("serve: daemon returned a null result for spec %d", i)
 		}
 	}
-	c.mu.Lock()
-	for _, res := range rr.Results {
-		if res.Key != "" {
-			if _, seen := c.results[res.Key]; !seen {
-				// Keep a private copy: the returned records are the
-				// caller's to mutate, per the Backend contract.
-				c.results[res.Key] = res.WithCached(res.Cached)
-			}
-		}
-	}
-	c.mu.Unlock()
 	return rr.Results, nil
 }
 
@@ -298,20 +249,6 @@ func (c *Client) Manifest(arch, bench string) ([]*sim.Result, error) {
 		}
 		out = append(out, &res)
 	}
-}
-
-// Results returns copies of the unique runs this client has observed,
-// sorted by content key — the same contract as sim.Runner.Results, so
-// remote and local artifacts compare key-for-key.
-func (c *Client) Results() []*sim.Result {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*sim.Result, 0, len(c.results))
-	for _, res := range c.results {
-		out = append(out, res.WithCached(res.Cached))
-	}
-	sim.SortResults(out)
-	return out
 }
 
 // Metrics fetches the daemon's cumulative counters, bounded by the metadata
@@ -409,10 +346,10 @@ func Healthy(base string) error {
 }
 
 // WaitHealthy polls GET /v1/healthz until the daemon answers, the budget
-// elapses, or ctx is canceled — the handshake cmd/experiments -remote and
-// the CI smoke test use before submitting. A canceled context (the operator
-// hit ^C while waiting) returns ctx's error immediately instead of burning
-// the rest of the budget.
+// elapses, or ctx is canceled — the handshake before submitting to one
+// daemon (Pool.WaitHealthy is the fleet's). A canceled context (the
+// operator hit ^C while waiting) returns ctx's error immediately instead of
+// burning the rest of the budget.
 func WaitHealthy(ctx context.Context, base string, budget time.Duration) error {
 	base = strings.TrimRight(base, "/")
 	deadline := time.Now().Add(budget)

@@ -23,7 +23,6 @@ type flakyFront struct {
 	fail503 atomic.Int32
 	drop    atomic.Int32
 	dead    atomic.Bool
-	wedged  atomic.Bool // accepts submissions, never answers them
 }
 
 func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -32,15 +31,6 @@ func (f *flakyFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/runs" {
-		if f.wedged.Load() {
-			// Consume the body first: with unread body bytes pending,
-			// net/http never starts the background read that observes a
-			// client abort, the context would never cancel, and the
-			// server's Close would deadlock against this handler.
-			io.Copy(io.Discard, r.Body)
-			<-r.Context().Done() // hold the request until the client gives up
-			return
-		}
 		if f.fail503.Add(-1) >= 0 {
 			http.Error(w, "serve: injected 503", http.StatusServiceUnavailable)
 			return
@@ -78,7 +68,7 @@ func newFlakyServer(t *testing.T) (*httptest.Server, *flakyFront, *sim.Runner) {
 }
 
 // fastRetry keeps test retries fast while preserving the real policy shape.
-var fastRetry = RetryPolicy{Attempts: 5, Base: time.Millisecond, Cap: 10 * time.Millisecond}
+var fastRetry = retryPolicy{Attempts: 5, Base: time.Millisecond, Cap: 10 * time.Millisecond}
 
 // A daemon answering 503 (draining, overloaded) for the first attempts must
 // not abort the sweep: RunAll retries the idempotent submission and the
@@ -86,7 +76,8 @@ var fastRetry = RetryPolicy{Attempts: 5, Base: time.Millisecond, Cap: 10 * time.
 func TestClientRunAllRetries503(t *testing.T) {
 	ts, front, runner := newFlakyServer(t)
 	front.fail503.Store(2)
-	c := NewClient(ts.URL, WithRetry(fastRetry))
+	c := NewClient(ts.URL)
+	c.retry = fastRetry
 	results, err := c.RunAll(testSpecs())
 	if err != nil {
 		t.Fatalf("RunAll after injected 503s: %v", err)
@@ -107,7 +98,8 @@ func TestClientRunAllRetries503(t *testing.T) {
 func TestClientRunAllRetriesDroppedConnections(t *testing.T) {
 	ts, front, runner := newFlakyServer(t)
 	front.drop.Store(2)
-	c := NewClient(ts.URL, WithRetry(fastRetry))
+	c := NewClient(ts.URL)
+	c.retry = fastRetry
 	if _, err := c.RunAll(testSpecs()); err != nil {
 		t.Fatalf("RunAll after dropped connections: %v", err)
 	}
@@ -125,7 +117,8 @@ func TestClientRunAllDoesNotRetryPermanent(t *testing.T) {
 		http.Error(w, "serve: spec 0: no such bench", http.StatusBadRequest)
 	}))
 	t.Cleanup(ts.Close)
-	c := NewClient(ts.URL, WithRetry(fastRetry))
+	c := NewClient(ts.URL)
+	c.retry = fastRetry
 	_, err := c.RunAll(testSpecs()[:1])
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("got %v, want a 400", err)
@@ -140,7 +133,8 @@ func TestClientRunAllDoesNotRetryPermanent(t *testing.T) {
 func TestClientRunAllReportsExhaustedRetries(t *testing.T) {
 	ts, front, _ := newFlakyServer(t)
 	front.dead.Store(true)
-	c := NewClient(ts.URL, WithRetry(RetryPolicy{Attempts: 2, Base: time.Millisecond, Cap: time.Millisecond}))
+	c := NewClient(ts.URL)
+	c.retry = retryPolicy{Attempts: 2, Base: time.Millisecond, Cap: time.Millisecond}
 	_, err := c.RunAll(testSpecs()[:1])
 	if err == nil || !strings.Contains(err.Error(), "retries exhausted after 2 attempts") {
 		t.Fatalf("got %v, want a retries-exhausted error", err)

@@ -23,11 +23,11 @@ func TestAliveProbeSingleflight(t *testing.T) {
 		<-release
 		return nil
 	}
-	pool, err := NewPool([]string{"http://a:1", "http://b:1"},
-		PoolProbe(probe), PoolCooldown(time.Minute))
+	pool, err := NewPool([]string{"http://a:1", "http://b:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.probe, pool.cooldown = probe, time.Minute
 	m := pool.snapshot()[0]
 	m.mu.Lock()
 	m.downUntil = time.Now().Add(-time.Millisecond) // cooldown just expired
@@ -71,10 +71,11 @@ func TestMarkDownBeatsStaleProbeSuccess(t *testing.T) {
 		<-release
 		return nil // success — but stale by the time it lands
 	}
-	pool, err := NewPool([]string{"http://a:1"}, PoolProbe(probe), PoolCooldown(time.Hour))
+	pool, err := NewPool([]string{"http://a:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool.probe, pool.cooldown = probe, time.Hour
 	m := pool.snapshot()[0]
 	m.mu.Lock()
 	m.downUntil = time.Now().Add(-time.Millisecond)
@@ -101,7 +102,7 @@ func TestPoolFlappingMemberConcurrentSweeps(t *testing.T) {
 	a, frontA, _ := newFleetMember(t)
 	b, _, _ := newFleetMember(t)
 	pool := newTestPool(t, []*httptest.Server{a, b},
-		PoolCooldown(time.Millisecond), PoolChunk(1), PoolFallback(sim.NewRunner()))
+		func(p *Pool) { p.cooldown, p.chunk = time.Millisecond, 1 }, PoolFallback(sim.NewRunner()))
 
 	stop := make(chan struct{})
 	var flapper sync.WaitGroup
@@ -179,7 +180,7 @@ func TestPoolDynamicMembership(t *testing.T) {
 	}
 
 	// The pool only knows daemon A; interval 0 refreshes every round.
-	pool := newTestPool(t, []*httptest.Server{tsA}, PoolMembership(0), PoolChunk(1))
+	pool := newTestPool(t, []*httptest.Server{tsA}, PoolMembership(0), func(p *Pool) { p.chunk = 1 })
 	specs := fleetSpecs(16)
 	res, err := pool.RunAll(specs)
 	if err != nil {
@@ -269,7 +270,7 @@ func TestPoolChurnDeadMemberPlusJoiner(t *testing.T) {
 
 	// The pool is seeded with A and B only; C joins via membership, and A
 	// dies before any of its chunks can land.
-	pool := newTestPool(t, []*httptest.Server{tsA, tsB}, PoolMembership(0), PoolChunk(1))
+	pool := newTestPool(t, []*httptest.Server{tsA, tsB}, PoolMembership(0), func(p *Pool) { p.chunk = 1 })
 	tsA.Close()
 
 	specs := fleetSpecs(16)
@@ -322,45 +323,6 @@ func TestPoolMembershipBackwardCompatible(t *testing.T) {
 	}
 	if len(pool.snapshot()) != 2 {
 		t.Errorf("ring changed against a membership-less fleet: %d members", len(pool.snapshot()))
-	}
-}
-
-// Work-stealing: a chunk stuck on a wedged member (healthz fine,
-// submissions never answered, no submit timeout configured) is resubmitted
-// to the idle peer after the steal deadline, and the canceled duplicate
-// does not fail the sweep.
-func TestPoolStealsFromStraggler(t *testing.T) {
-	a, frontA, ra := newFleetMember(t)
-	frontA.wedged.Store(true)
-	b, _, rb := newFleetMember(t)
-	pool := newTestPool(t, []*httptest.Server{a, b}, PoolSteal(100*time.Millisecond))
-
-	specs := fleetSpecs(6)
-	done := make(chan error, 1)
-	var res []*sim.Result
-	go func() {
-		var err error
-		res, err = pool.RunAll(specs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("RunAll with a wedged member and stealing: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunAll hung on the wedged member despite work-stealing")
-	}
-	for i, spec := range specs {
-		if res[i].Key != spec.Key() || res[i].Stats == nil {
-			t.Errorf("stolen result %d: key %q, want %q", i, res[i].Key, spec.Key())
-		}
-	}
-	if got := ra.Metrics().Simulated; got != 0 {
-		t.Errorf("wedged member simulated %d runs", got)
-	}
-	if got, want := rb.Metrics().Simulated, uint64(uniqueKeys(specs)); got != want {
-		t.Errorf("peer simulated %d runs, want %d (the stolen chunks)", got, want)
 	}
 }
 

@@ -6,31 +6,29 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dkip/internal/sim"
 )
 
-// Pool is a sim.Backend that federates a fleet of dkipd daemons. Every spec
-// is routed to one daemon by rendezvous hashing on its content key, so the
-// same spec always lands on the same daemon's singleflight and memo cache no
-// matter which client submits it; batches are chunked into bounded
-// sub-batches and submitted concurrently under an in-flight window of two
-// chunks per seed member. Each member Client retries transient failures
-// with backoff; when a member's retries exhaust, the Pool marks it down for
-// a cooldown and re-routes its keys across the survivors (rendezvous
-// hashing guarantees the survivors' own assignments do not move). When
-// every backend is down, the Pool fails over to an optional local
-// sim.Runner so a sweep always finishes. One caveat: a member that accepts
-// submissions but never answers them is, by default, indistinguishable from
-// one running a long simulation — bound submissions with PoolSubmitTimeout
-// when sweep latency is known so such a member re-routes too, or race its
-// chunks against idle peers with PoolSteal.
+// Pool is the sim.Backend for every remote sweep: it federates a fleet of
+// dkipd daemons, and a single daemon is a fleet of one. Every spec is routed
+// to one daemon by rendezvous hashing on its content key, so the same spec
+// always lands on the same daemon's singleflight and memo cache no matter
+// which client submits it; batches are chunked into bounded sub-batches,
+// and each member a round routes keys to gets its own two in-flight chunk
+// submissions. Each member Client retries transient failures with backoff;
+// when a member's retries exhaust, the Pool marks it down for a cooldown and
+// re-routes its keys across the survivors (rendezvous hashing guarantees the
+// survivors' own assignments do not move). When every backend is down, the
+// Pool fails over to an optional local sim.Runner so a sweep always
+// finishes. One caveat: submissions are unbounded, because full-scale chunks
+// legitimately simulate for minutes, so a member that accepts submissions
+// but never answers them is indistinguishable from one running a long
+// simulation.
 //
 // With PoolMembership the ring is dynamic: between re-route rounds the Pool
 // refreshes its member set from the fleet's own GET /v1/members view, so
@@ -43,15 +41,12 @@ import (
 // produced through a Pool compares byte-for-byte (outside the metrics
 // section) with a local run's.
 type Pool struct {
-	chunk         int
-	window        chan struct{}
-	retry         RetryPolicy
-	cooldown      time.Duration
-	submitTimeout time.Duration
-	probe         func(base string) error
-	fallback      *sim.Runner
-	identity      string
-	steal         time.Duration
+	chunk    int                     // specs per sub-batch POST
+	retry    retryPolicy             // the member clients' submission retries
+	cooldown time.Duration           // how long a failed member stays out of the ring
+	probe    func(base string) error // the revival health check (Healthy)
+	fallback *sim.Runner
+	identity string
 
 	membership      bool
 	refreshInterval time.Duration
@@ -84,9 +79,6 @@ type member struct {
 	downUntil time.Time     // zero when the member is routable
 	gen       uint64        // bumped by every markDown; stale probe outcomes must not override newer evidence
 	probing   chan struct{} // non-nil while one revival probe runs; followers wait on it
-
-	inflight  atomic.Int32 // chunk submissions currently in flight to this member
-	latencyNs atomic.Int64 // last successful chunk's latency; 0 until observed
 }
 
 // down reports whether the member is currently out of the routing ring —
@@ -98,54 +90,12 @@ func (m *member) down(now time.Time) bool {
 	return !m.downUntil.IsZero() && now.Before(m.downUntil)
 }
 
+// memberInflight is how many chunk submissions each member has in flight
+// during a round.
+const memberInflight = 2
+
 // PoolOption configures a Pool.
 type PoolOption func(*Pool)
-
-// PoolChunk bounds specs per sub-batch POST (default 32); n <= 0 keeps the
-// default. Smaller chunks lose less work to a dying daemon and re-route
-// sooner; larger chunks amortize round trips.
-func PoolChunk(n int) PoolOption {
-	return func(p *Pool) {
-		if n > 0 {
-			p.chunk = n
-		}
-	}
-}
-
-// PoolRetry sets the per-submission retry policy the member clients use.
-func PoolRetry(rp RetryPolicy) PoolOption {
-	return func(p *Pool) { p.retry = rp }
-}
-
-// PoolSubmitTimeout bounds each chunk-submission attempt (default none —
-// full-scale chunks legitimately simulate for minutes). With a bound, a
-// daemon that accepts submissions but never answers (wedged store mount,
-// deadlocked host) is re-routed like any other transient failure instead of
-// holding the sweep; without one, such a member can still stall a sweep
-// even though its healthz probe passes.
-func PoolSubmitTimeout(d time.Duration) PoolOption {
-	return func(p *Pool) { p.submitTimeout = d }
-}
-
-// PoolCooldown sets how long a failed member stays out of the routing ring
-// before a health probe may readmit it (default 15s).
-func PoolCooldown(d time.Duration) PoolOption {
-	return func(p *Pool) {
-		if d > 0 {
-			p.cooldown = d
-		}
-	}
-}
-
-// PoolProbe replaces the health probe (default Healthy, one short
-// GET /v1/healthz). Tests inject failures through it.
-func PoolProbe(f func(base string) error) PoolOption {
-	return func(p *Pool) {
-		if f != nil {
-			p.probe = f
-		}
-	}
-}
 
 // PoolFallback attaches a local Runner the Pool fails over to when every
 // backend is down — typically sharing the fleet's -cache-dir so locally
@@ -176,28 +126,13 @@ func PoolMembership(interval time.Duration) PoolOption {
 	}
 }
 
-// PoolSteal enables work-stealing for stragglers: when a chunk has been in
-// flight longer than d and an alive peer is idle, the chunk is resubmitted
-// to the idlest peer and the two submissions race — first answer wins, the
-// loser is canceled. Duplicated work is nearly free (specs are
-// content-keyed; the daemons share one store, so the duplicate is usually a
-// dedup or disk hit), while a straggling daemon stops gating the sweep's
-// tail. Off by default.
-func PoolSteal(d time.Duration) PoolOption {
-	return func(p *Pool) {
-		if d > 0 {
-			p.steal = d
-		}
-	}
-}
-
 // NewPool builds a Pool over the given daemon base URLs (e.g.
 // "http://a:8321", "http://b:8321"). Empty entries are dropped; duplicate
 // bases are an error — two ring slots for one daemon would skew routing.
 func NewPool(bases []string, opts ...PoolOption) (*Pool, error) {
 	p := &Pool{
 		chunk:    32,
-		retry:    DefaultRetry,
+		retry:    defaultRetry,
 		cooldown: 15 * time.Second,
 		probe:    Healthy,
 		seeds:    make(map[string]bool),
@@ -224,19 +159,17 @@ func NewPool(bases []string, opts ...PoolOption) (*Pool, error) {
 	for _, b := range order {
 		p.members = append(p.members, p.newMember(b))
 	}
-	p.window = make(chan struct{}, 2*len(p.members))
 	return p, nil
 }
 
 // newMember builds a ring entry and its client; call after options are
-// applied so the client inherits the Pool's retry, timeout, and identity.
+// applied so the client inherits the Pool's retry policy and identity.
 func (p *Pool) newMember(base string) *member {
-	m := &member{base: base}
 	// Member metadata reads get a short timeout: Pool.Metrics must not
 	// stall for half a minute on a host that died between sweeps.
-	m.client = NewClient(base, WithRetry(p.retry),
-		MetaTimeout(5*time.Second), SubmitTimeout(p.submitTimeout), Identity(p.identity))
-	return m
+	c := NewClient(base, MetaTimeout(5*time.Second), Identity(p.identity))
+	c.retry = p.retry
+	return &member{base: base, client: c}
 }
 
 // snapshot returns the current ring. The slice is immutable once published
@@ -418,9 +351,9 @@ func (p *Pool) refreshMembers(alive []*member, force bool) bool {
 }
 
 // reconcile rebuilds the ring as the union of the seed URLs and the live
-// membership view. Existing member objects are preserved so health state,
-// probe generations, and in-flight accounting survive a refresh; discovered
-// members join fresh, departed non-seeds drop out.
+// membership view. Existing member objects are preserved so health state
+// and probe generations survive a refresh; discovered members join fresh,
+// departed non-seeds drop out.
 func (p *Pool) reconcile(view []Member) {
 	now := time.Now()
 	want := make(map[string]bool, len(view)+len(p.seeds))
@@ -500,10 +433,11 @@ func (p *Pool) Run(spec sim.RunSpec) (*sim.Result, error) {
 }
 
 // RunAll routes each spec to its daemon, submits bounded chunks
-// concurrently, and blocks until every run resolves; results[i] corresponds
-// to specs[i]. Chunks that fail transiently after their member's retries
-// re-route to surviving members; with no survivors the remainder runs on
-// the local fallback Runner, or the sweep fails if none is configured.
+// concurrently (memberInflight per member), and blocks until every run
+// resolves; results[i] corresponds to specs[i]. Chunks that fail
+// transiently after their member's retries re-route to surviving members;
+// with no survivors the remainder runs on the local fallback Runner, or the
+// sweep fails if none is configured.
 // Specs carrying opaque function fields are refused before anything is
 // sent, like Client.RunAll.
 func (p *Pool) RunAll(specs []sim.RunSpec) ([]*sim.Result, error) {
@@ -579,43 +513,54 @@ func (p *Pool) RunAll(specs []sim.RunSpec) ([]*sim.Result, error) {
 			failures []string // keys to re-route next round
 			fatal    error
 		)
+		submit := func(m *member, ck []string) {
+			// An earlier chunk may have marked this member down: skip
+			// straight to re-routing instead of burning a full retry ladder
+			// against a host already known dead.
+			var res []*sim.Result
+			var err error
+			reroute := m.down(time.Now())
+			if !reroute {
+				cs := make([]sim.RunSpec, len(ck))
+				for i, k := range ck {
+					cs[i] = unique[k]
+				}
+				res, err = m.client.RunAll(cs)
+				if reroute = Transient(err); reroute {
+					p.markDown(m)
+				}
+			}
+			outMu.Lock()
+			defer outMu.Unlock()
+			switch {
+			case reroute:
+				failures = append(failures, ck...)
+			case err != nil:
+				if fatal == nil {
+					fatal = err
+				}
+			default:
+				for i, k := range ck {
+					resolved[k] = res[i]
+				}
+			}
+		}
 		for m, mkeys := range groups {
+			chunks := make(chan []string, (len(mkeys)+p.chunk-1)/p.chunk)
 			for start := 0; start < len(mkeys); start += p.chunk {
-				ck := mkeys[start:min(start+p.chunk, len(mkeys))]
+				chunks <- mkeys[start:min(start+p.chunk, len(mkeys))]
+			}
+			close(chunks)
+			// Every member drains its own chunks, memberInflight at a time,
+			// so one member's backlog never delays another's submissions.
+			for range memberInflight {
 				wg.Add(1)
-				p.window <- struct{}{}
-				go func(m *member, ck []string) {
+				go func() {
 					defer wg.Done()
-					defer func() { <-p.window }()
-					// Another chunk may have marked this member down while
-					// we queued for a window slot: skip straight to
-					// re-routing instead of burning a full retry ladder
-					// against a host already known dead.
-					if m.down(time.Now()) {
-						outMu.Lock()
-						failures = append(failures, ck...)
-						outMu.Unlock()
-						return
+					for ck := range chunks {
+						submit(m, ck)
 					}
-					cs := make([]sim.RunSpec, len(ck))
-					for i, k := range ck {
-						cs[i] = unique[k]
-					}
-					res, err := p.submitChunk(m, cs, alive)
-					outMu.Lock()
-					defer outMu.Unlock()
-					if err != nil {
-						if Transient(err) {
-							failures = append(failures, ck...)
-						} else if fatal == nil {
-							fatal = err
-						}
-						return
-					}
-					for i, k := range ck {
-						resolved[k] = res[i]
-					}
-				}(m, ck)
+				}()
 			}
 		}
 		wg.Wait()
@@ -642,109 +587,10 @@ func (p *Pool) RunAll(specs []sim.RunSpec) ([]*sim.Result, error) {
 	return out, nil
 }
 
-// submitChunk submits one chunk to its routed member. With stealing enabled
-// and the chunk still unanswered after the steal deadline, the chunk is
-// duplicated to the idlest alive peer and the two submissions race: first
-// success wins and cancels the other (cancellation is non-transient, so the
-// loser's retry ladder stops dead). Transient failures mark the failing
-// member down either way.
-func (p *Pool) submitChunk(primary *member, specs []sim.RunSpec, peers []*member) ([]*sim.Result, error) {
-	if p.steal <= 0 || len(peers) < 2 {
-		res, err := p.timedRunAll(context.Background(), primary, specs)
-		if err != nil && Transient(err) {
-			p.markDown(primary)
-		}
-		return res, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	type answer struct {
-		m   *member
-		res []*sim.Result
-		err error
-	}
-	ch := make(chan answer, 2) // buffered: the canceled loser's answer is never read
-	submit := func(m *member) {
-		res, err := p.timedRunAll(ctx, m, specs)
-		ch <- answer{m, res, err}
-	}
-	outstanding := 1
-	go submit(primary)
-	timer := time.NewTimer(p.steal)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case a := <-ch:
-			if a.err == nil {
-				return a.res, nil
-			}
-			if Transient(a.err) {
-				p.markDown(a.m)
-			}
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			if outstanding--; outstanding == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			// The primary is straggling. One steal per chunk: resubmit to
-			// the idlest peer (duplicates are nearly free — the daemons
-			// share singleflight keys through one store) and let the two
-			// race. With every peer busy or down right now, re-arm and try
-			// again — peers finishing their own chunks become eligible.
-			if thief := p.idlestPeer(primary, peers); thief != nil {
-				outstanding++
-				go submit(thief)
-			} else {
-				timer.Reset(p.steal)
-			}
-		}
-	}
-}
-
-// timedRunAll wraps a member submission with the in-flight and latency
-// accounting the steal scheduler picks targets by.
-func (p *Pool) timedRunAll(ctx context.Context, m *member, specs []sim.RunSpec) ([]*sim.Result, error) {
-	m.inflight.Add(1)
-	start := time.Now()
-	res, err := m.client.runAll(ctx, specs)
-	m.inflight.Add(-1)
-	if err == nil {
-		m.latencyNs.Store(time.Since(start).Nanoseconds())
-	}
-	return res, err
-}
-
-// idlestPeer picks the steal target: an alive peer (not the primary, not
-// down) with nothing in flight, preferring the fastest last-observed chunk
-// latency; nil when every peer is busy or down. Members never observed
-// (latency 0) rank last among idle peers — a host that has answered fast is
-// a better bet than one that has answered nothing.
-func (p *Pool) idlestPeer(primary *member, peers []*member) *member {
-	now := time.Now()
-	var best *member
-	var bestLat int64
-	for _, m := range peers {
-		if m == primary || m.down(now) || m.inflight.Load() != 0 {
-			continue
-		}
-		lat := m.latencyNs.Load()
-		if lat == 0 {
-			lat = math.MaxInt64
-		}
-		if best == nil || lat < bestLat || (lat == bestLat && m.base < best.base) {
-			best, bestLat = m, lat
-		}
-	}
-	return best
-}
-
 // Results returns copies of the unique runs resolved fleet-wide (including
 // any the local fallback simulated), sorted by content key — the same
-// contract as Runner.Results and Client.Results, so pool, single-daemon,
-// and local artifacts compare key-for-key.
+// contract as Runner.Results, so fleet and local artifacts compare
+// key-for-key.
 func (p *Pool) Results() []*sim.Result {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,10 +32,10 @@ func newTestPool(t *testing.T, servers []*httptest.Server, opts ...PoolOption) *
 	for i, ts := range servers {
 		bases[i] = ts.URL
 	}
-	pool, err := NewPool(bases, append([]PoolOption{
-		PoolRetry(fastRetry),
-		PoolCooldown(time.Minute),
-	}, opts...)...)
+	pool, err := NewPool(bases, append([]PoolOption{func(p *Pool) {
+		p.retry = fastRetry
+		p.cooldown = time.Minute
+	}}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func fleetSpecs(n int) []sim.RunSpec {
 func TestPoolFleetDedups(t *testing.T) {
 	a, _, ra := newFleetMember(t)
 	b, _, rb := newFleetMember(t)
-	pool := newTestPool(t, []*httptest.Server{a, b}, PoolChunk(2))
+	pool := newTestPool(t, []*httptest.Server{a, b}, func(p *Pool) { p.chunk = 2 })
 
 	specs := testSpecs()
 	results, err := pool.RunAll(specs)
@@ -90,6 +92,72 @@ func TestPoolFleetDedups(t *testing.T) {
 	// Pool.Metrics folds the fleet into one view.
 	if m := pool.Metrics(); m.Simulated != want {
 		t.Errorf("pool metrics report %d simulated, want %d", m.Simulated, want)
+	}
+}
+
+// Every member a round routes keys to gets submissions of its own: with
+// one chunk per key and at least 2 × members chunks routed to each member,
+// each daemon holds its submissions until every other daemon has received
+// one. A dispatcher that lets one member's chunks fill a shared window never
+// gets another member a submission, and RunAll stalls.
+func TestPoolKeepsEveryMemberBusy(t *testing.T) {
+	const members = 2
+	stop := make(chan struct{})
+	arrived := make([]chan struct{}, members)
+	servers := make([]*httptest.Server, members)
+	for i := range servers {
+		arrived[i] = make(chan struct{})
+		var first sync.Once
+		inner := NewServer(sim.NewRunner(), nil)
+		servers[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/runs" {
+				first.Do(func() { close(arrived[i]) })
+				for _, ch := range arrived {
+					select {
+					case <-ch:
+					case <-stop:
+						http.Error(w, "serve: test over", http.StatusBadRequest)
+						return
+					}
+				}
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(servers[i].Close)
+	}
+	// Cleanups run last-registered first: held submissions are released
+	// before the servers close.
+	t.Cleanup(func() { close(stop) })
+	pool := newTestPool(t, servers, func(p *Pool) { p.chunk = 1 })
+
+	ring := pool.snapshot()
+	owned := make(map[*member]int)
+	var specs []sim.RunSpec
+	for i := 0; ; i++ {
+		short := false
+		for _, m := range ring {
+			short = short || owned[m] < 2*members
+		}
+		if !short {
+			break
+		}
+		spec := sim.DKIPSpec("swim", core.Config{}, testWarmup, uint64(testMeasure+100*(i+1)))
+		owned[route(spec.Key(), ring)]++
+		specs = append(specs, spec)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := pool.RunAll(specs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunAll stalled: one member's chunks held every submission slot")
 	}
 }
 
@@ -155,7 +223,7 @@ func TestPoolRetriesTransientFailures(t *testing.T) {
 func TestPoolReroutesWhenBackendDies(t *testing.T) {
 	a, frontA, ra := newFleetMember(t)
 	b, _, rb := newFleetMember(t)
-	pool := newTestPool(t, []*httptest.Server{a, b}, PoolChunk(2))
+	pool := newTestPool(t, []*httptest.Server{a, b}, func(p *Pool) { p.chunk = 2 })
 
 	first := testSpecs()
 	if _, err := pool.RunAll(first); err != nil {
@@ -195,43 +263,6 @@ func TestPoolReroutesWhenBackendDies(t *testing.T) {
 		if res[i-1].Key >= res[i].Key {
 			t.Fatal("pool results are not key-sorted")
 		}
-	}
-}
-
-// A wedged member — healthz answers, submissions accepted but never
-// resolved — must not hold the sweep when a submit timeout is configured:
-// the bounded attempts come back as transient failures and its keys
-// re-route to the survivor.
-func TestPoolReroutesWedgedBackend(t *testing.T) {
-	a, frontA, ra := newFleetMember(t)
-	frontA.wedged.Store(true)
-	b, _, rb := newFleetMember(t)
-	// The timeout bounds every member, so it must comfortably cover the
-	// survivor's real (race-detector-slowed) simulations while still
-	// cutting the wedged member loose.
-	pool := newTestPool(t, []*httptest.Server{a, b},
-		PoolSubmitTimeout(5*time.Second),
-		PoolRetry(RetryPolicy{Attempts: 2, Base: time.Millisecond, Cap: time.Millisecond}))
-
-	specs := fleetSpecs(6)
-	done := make(chan error, 1)
-	go func() {
-		_, err := pool.RunAll(specs)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("RunAll with a wedged member: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("RunAll hung on the wedged member despite the submit timeout")
-	}
-	if got := ra.Metrics().Simulated; got != 0 {
-		t.Errorf("wedged member simulated %d runs", got)
-	}
-	if got, want := rb.Metrics().Simulated, uint64(uniqueKeys(specs)); got != want {
-		t.Errorf("survivor simulated %d runs, want %d", got, want)
 	}
 }
 
@@ -286,7 +317,7 @@ func TestPoolAllDownWithoutFallbackFails(t *testing.T) {
 func TestPoolReadmitsRecoveredBackend(t *testing.T) {
 	a, frontA, ra := newFleetMember(t)
 	b, _, rb := newFleetMember(t)
-	pool := newTestPool(t, []*httptest.Server{a, b}, PoolCooldown(10*time.Millisecond))
+	pool := newTestPool(t, []*httptest.Server{a, b}, func(p *Pool) { p.cooldown = 10 * time.Millisecond })
 
 	frontA.dead.Store(true)
 	if _, err := pool.RunAll(testSpecs()); err != nil {
@@ -335,7 +366,7 @@ func TestPoolRefusesOpaqueSpecs(t *testing.T) {
 func TestPoolMatchesLocalBackend(t *testing.T) {
 	a, _, _ := newFleetMember(t)
 	b, _, _ := newFleetMember(t)
-	pool := newTestPool(t, []*httptest.Server{a, b}, PoolChunk(1))
+	pool := newTestPool(t, []*httptest.Server{a, b}, func(p *Pool) { p.chunk = 1 })
 	local := sim.NewRunner()
 
 	specs := testSpecs()

@@ -132,7 +132,7 @@ func TestResultsStreamReleasesSlotOnStuckClient(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts, _ := newTestServer(t, store, MaxRequests(1), StreamWriteTimeout(200*time.Millisecond))
+	ts, _ := newTestServer(t, store, MaxRequests(1), func(s *Server) { s.streamWriteTimeout = 200 * time.Millisecond })
 
 	conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
 	if err != nil {

@@ -86,10 +86,10 @@ func transientTransport(err error) bool {
 		errors.Is(err, syscall.EPIPE)
 }
 
-// RetryPolicy caps how retriable operations are retried: up to Attempts
+// retryPolicy caps how retriable operations are retried: up to Attempts
 // total tries, sleeping Base before the first retry and doubling up to Cap
 // between subsequent ones.
-type RetryPolicy struct {
+type retryPolicy struct {
 	// Attempts is the total number of tries, including the first; values
 	// below 1 mean one try (no retries).
 	Attempts int
@@ -99,21 +99,21 @@ type RetryPolicy struct {
 	Cap time.Duration
 }
 
-// DefaultRetry is the policy Client and Pool use unless configured
-// otherwise: four tries over roughly a second — enough to ride out a daemon
-// restart without stalling a sweep behind a truly dead host.
-var DefaultRetry = RetryPolicy{Attempts: 4, Base: 100 * time.Millisecond, Cap: 2 * time.Second}
+// defaultRetry is the policy every Client submits under: four tries over
+// roughly a second — enough to ride out a daemon restart without stalling a
+// sweep behind a truly dead host.
+var defaultRetry = retryPolicy{Attempts: 4, Base: 100 * time.Millisecond, Cap: 2 * time.Second}
 
 // Do runs op, retrying transient failures (see Transient) with capped
 // exponential backoff. The backoff wait selects on ctx, so canceling the
-// context (operator ^C, a work-stealing race resolved elsewhere) interrupts
-// a sleeping retry ladder instead of letting it finish the nap first. It
+// context interrupts a sleeping retry ladder instead of letting it finish
+// the nap first. It
 // returns nil on success, the error unchanged when it is permanent, ctx's
 // error when canceled mid-backoff, and the last error wrapped with the
 // attempt count when the budget is exhausted — so "retries exhausted" is
 // distinguishable from "failed once" in logs while errors.As still reaches
 // the underlying *HTTPError.
-func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
+func (p retryPolicy) Do(ctx context.Context, op func() error) error {
 	attempts := p.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -138,14 +138,14 @@ func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
 
 // backoff returns the delay after the n-th failed attempt (n starts at 0):
 // Base<<n, bounded by Cap. Zero-value Base and Cap fall back to the
-// DefaultRetry bounds so a partially-filled policy stays sane.
-func (p RetryPolicy) backoff(n int) time.Duration {
+// defaultRetry bounds so a partially-filled policy stays sane.
+func (p retryPolicy) backoff(n int) time.Duration {
 	base, ceil := p.Base, p.Cap
 	if base <= 0 {
 		base = 50 * time.Millisecond
 	}
 	if ceil <= 0 {
-		ceil = DefaultRetry.Cap
+		ceil = defaultRetry.Cap
 	}
 	if n > 20 {
 		n = 20 // the shift below must not overflow

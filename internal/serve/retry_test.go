@@ -47,7 +47,7 @@ func TestTransientClassification(t *testing.T) {
 // immediately on success or a permanent error, and wrap the final error
 // with the attempt count when the budget is exhausted.
 func TestRetryPolicyDo(t *testing.T) {
-	fast := RetryPolicy{Attempts: 4, Base: time.Millisecond, Cap: 4 * time.Millisecond}
+	fast := retryPolicy{Attempts: 4, Base: time.Millisecond, Cap: 4 * time.Millisecond}
 
 	calls := 0
 	err := fast.Do(context.Background(), func() error {
@@ -83,7 +83,7 @@ func TestRetryPolicyDo(t *testing.T) {
 
 // The backoff sequence must double from Base and never exceed Cap.
 func TestRetryBackoffCaps(t *testing.T) {
-	p := RetryPolicy{Attempts: 10, Base: 10 * time.Millisecond, Cap: 40 * time.Millisecond}
+	p := retryPolicy{Attempts: 10, Base: 10 * time.Millisecond, Cap: 40 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 40, 40}
 	for n, w := range want {
 		if got := p.backoff(n); got != w*time.Millisecond {
@@ -96,9 +96,9 @@ func TestRetryBackoffCaps(t *testing.T) {
 	}
 	// A zero-value Cap falls back to the default bound instead of growing
 	// the backoff without limit.
-	loose := RetryPolicy{Attempts: 25, Base: 100 * time.Millisecond}
-	if got := loose.backoff(20); got != DefaultRetry.Cap {
-		t.Errorf("zero-Cap backoff(20) = %v, want the default cap %v", got, DefaultRetry.Cap)
+	loose := retryPolicy{Attempts: 25, Base: 100 * time.Millisecond}
+	if got := loose.backoff(20); got != defaultRetry.Cap {
+		t.Errorf("zero-Cap backoff(20) = %v, want the default cap %v", got, defaultRetry.Cap)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestRetryBackoffCaps(t *testing.T) {
 // regression dkipvet's ctxhygiene analyzer pinned: Do used to sleep out
 // its full backoff even after the caller had given up.
 func TestRetryPolicyDoCanceledMidBackoff(t *testing.T) {
-	slow := RetryPolicy{Attempts: 3, Base: time.Hour, Cap: time.Hour}
+	slow := retryPolicy{Attempts: 3, Base: time.Hour, Cap: time.Hour}
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	start := time.Now()

@@ -27,8 +27,12 @@ type Server struct {
 	runner *sim.Runner
 	store  *sim.Store
 
-	gate               *fairShare
-	waitTimeout        time.Duration
+	gate        *fairShare
+	waitTimeout time.Duration
+	// streamWriteTimeout bounds each write of a streaming response —
+	// manifest NDJSON and progress events — so a client that stops reading
+	// releases its slot instead of holding it for the connection's
+	// lifetime.
 	streamWriteTimeout time.Duration
 	members            func() []Member
 	mux                *http.ServeMux
@@ -53,17 +57,6 @@ func MaxRequests(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
 			s.gate = newFairShare(n)
-		}
-	}
-}
-
-// StreamWriteTimeout bounds each write of a streaming response — manifest
-// NDJSON and progress events — so a client that stops reading releases its
-// slot instead of holding it for the connection's lifetime (default 30s).
-func StreamWriteTimeout(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.streamWriteTimeout = d
 		}
 	}
 }

@@ -445,42 +445,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// The Client is a faithful sim.Backend: the per-run records it accumulates
-// match a local Runner's key-for-key — the acceptance property behind
-// cmd/experiments -remote -json.
-func TestClientMatchesLocalBackend(t *testing.T) {
-	ts, _ := newTestServer(t, nil)
-	c := NewClient(ts.URL)
-	local := sim.NewRunner()
-
-	specs := testSpecs()
-	if _, err := c.RunAll(specs); err != nil {
-		t.Fatal(err)
-	}
-	// A repeated submission must not duplicate client-side records.
-	if _, err := c.RunAll(specs[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := local.RunAll(specs); err != nil {
-		t.Fatal(err)
-	}
-
-	remoteRes, localRes := c.Results(), local.Results()
-	if len(remoteRes) != len(localRes) {
-		t.Fatalf("remote backend recorded %d unique runs, local %d", len(remoteRes), len(localRes))
-	}
-	for i := range remoteRes {
-		if remoteRes[i].Key != localRes[i].Key {
-			t.Errorf("record %d: remote key %s, local key %s", i, remoteRes[i].Key, localRes[i].Key)
-		}
-		rs, _ := json.Marshal(remoteRes[i].Stats)
-		ls, _ := json.Marshal(localRes[i].Stats)
-		if string(rs) != string(ls) {
-			t.Errorf("record %d (%s): remote and local stats diverge", i, remoteRes[i].Key)
-		}
-	}
-}
-
 // The request gate bounds concurrent handling but queues (rather than
 // rejects) excess requests: N > max simultaneous submissions all succeed.
 func TestRequestGateQueues(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package serve exposes the run-orchestration layer (internal/sim) over
 // HTTP: a Server wrapping one process-wide sim.Runner + sim.Store that many
-// clients hit concurrently, a Client implementing sim.Backend against one
-// such daemon, and a Pool federating a fleet of daemons (content-key
-// rendezvous routing, chunked retrying submissions, health tracking, local
-// failover). cmd/dkipd is the daemon binary; cmd/experiments -remote drives
-// the whole experiment registry through a Client (one URL) or a Pool
-// (comma-separated URLs).
+// clients hit concurrently, a Client that is the transport to one such
+// daemon, and a Pool, the sim.Backend federating a fleet of daemons
+// (content-key rendezvous routing, chunked retrying submissions, health
+// tracking, local failover). cmd/dkipd is the daemon binary; cmd/experiments
+// -remote drives the whole experiment registry through a Pool seeded with
+// its URL list, one URL or several.
 //
 // The wire protocol (all JSON):
 //

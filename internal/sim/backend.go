@@ -1,12 +1,12 @@
 package sim
 
 // Backend is the simulation surface the experiment registry drives: submit
-// specs, collect per-run records, inspect cache metrics. Three
-// implementations exist — the in-process *Runner; serve.Client, which
-// forwards every spec to a shared dkipd daemon; and serve.Pool, which
-// federates a fleet of daemons with content-key routing, retries, and local
-// failover — so a figure's code cannot tell whether its sweeps simulate
-// locally, on one remote machine, or across a cluster.
+// specs, collect per-run records, inspect cache metrics. Two
+// implementations exist — the in-process *Runner, and serve.Pool, which
+// sends every spec to a fleet of dkipd daemons (one daemon is a fleet of
+// one) with content-key routing, retries, and local failover — so a
+// figure's code cannot tell whether its sweeps simulate locally, on one
+// remote machine, or across a cluster.
 type Backend interface {
 	// Run executes one spec (or returns the memoized result of an
 	// identical earlier run).

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"dkip/internal/pipeline"
@@ -76,32 +74,4 @@ func WriteJSON(w io.Writer, results []*Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
-}
-
-// csvColumns is the header of the CSV encoding: identity, scale, and the
-// headline counters of pipeline.Stats.
-var csvColumns = []string{
-	"key", "arch", "config", "bench", "warmup", "measure", "cached",
-	"cycles", "committed", "ipc", "mispredict_rate", "mem_load_frac", "elapsed_ns",
-}
-
-// WriteCSV writes the results as CSV with a header row. Cells never contain
-// commas (names are config/benchmark identifiers), so no quoting is needed.
-func WriteCSV(w io.Writer, results []*Result) error {
-	if _, err := io.WriteString(w, strings.Join(csvColumns, ",")+"\n"); err != nil {
-		return err
-	}
-	for _, r := range results {
-		st := r.Stats
-		if st == nil {
-			st = &pipeline.Stats{}
-		}
-		_, err := fmt.Fprintf(w, "%s,%s,%s,%s,%d,%d,%t,%d,%d,%.4f,%.4f,%.4f,%d\n",
-			r.Key, r.Arch, r.Config, r.Bench, r.Warmup, r.Measure, r.Cached,
-			st.Cycles, st.Committed, st.IPC(), st.MispredictRate(), st.MemoryLoadFrac(), r.Elapsed.Nanoseconds())
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

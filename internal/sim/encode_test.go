@@ -42,29 +42,6 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	res := testResult(t)
-	var b strings.Builder
-	if err := WriteCSV(&b, []*Result{res, res.clone(true)}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want header + 2 rows", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "key,arch,config,bench,") {
-		t.Errorf("header = %q", lines[0])
-	}
-	for i, line := range lines[1:] {
-		if got := strings.Count(line, ","); got != strings.Count(lines[0], ",") {
-			t.Errorf("row %d has %d commas, header has %d", i, got, strings.Count(lines[0], ","))
-		}
-	}
-	if !strings.Contains(lines[2], ",true,") {
-		t.Error("cached clone row should mark cached=true")
-	}
-}
-
 func TestResultCloneIsDeep(t *testing.T) {
 	res := testResult(t)
 	c := res.clone(true)

@@ -27,23 +27,6 @@ func InShard(spec RunSpec, i, n int) bool {
 	return v%uint64(n) == uint64(i)
 }
 
-// Shard returns the subsequence of specs assigned to shard i of n,
-// preserving order. The shards of a spec set partition it: every spec
-// appears in exactly one shard, and the union over i of Shard(specs, i, n)
-// is specs itself. Shard(specs, 0, 1) returns specs unchanged.
-func Shard(specs []RunSpec, i, n int) []RunSpec {
-	if n <= 1 {
-		return specs
-	}
-	var out []RunSpec
-	for _, s := range specs {
-		if InShard(s, i, n) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ParseShard parses an "i/n" shard flag value ("0/2", "1/2", ...). The
 // empty string means unsharded and parses as (0, 1). i must satisfy
 // 0 <= i < n.

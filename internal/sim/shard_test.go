@@ -49,32 +49,41 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// Shards must partition any spec set: every spec lands in exactly one shard,
-// order is preserved, and the union over i recovers the input.
+// Shards must partition any spec set: every spec lands in exactly one
+// shard.
 func TestShardPartitions(t *testing.T) {
 	specs := shardSpecs()
 	for _, n := range []int{1, 2, 3, 7} {
-		counts := make(map[string]int)
-		var union []RunSpec
-		for i := 0; i < n; i++ {
-			part := Shard(specs, i, n)
-			union = append(union, part...)
-			for _, s := range part {
-				counts[s.Key()]++
-			}
-		}
-		if len(union) != len(specs) {
-			t.Errorf("n=%d: union holds %d specs, want %d", n, len(union), len(specs))
-		}
 		for _, s := range specs {
-			if counts[s.Key()] != 1 {
-				t.Errorf("n=%d: spec %s appears in %d shards, want exactly 1", n, s.Key(), counts[s.Key()])
+			shards := 0
+			for i := 0; i < n; i++ {
+				if InShard(s, i, n) {
+					shards++
+				}
+			}
+			if shards != 1 {
+				t.Errorf("n=%d: spec %s is in %d shards, want exactly 1", n, s.Key(), shards)
 			}
 		}
+		total := 0
+		for i := 0; i < n; i++ {
+			total += shardSize(specs, i, n)
+		}
+		if total != len(specs) {
+			t.Errorf("n=%d: shards hold %d specs, want %d", n, total, len(specs))
+		}
 	}
-	if got := Shard(specs, 0, 1); len(got) != len(specs) {
-		t.Errorf("unsharded Shard() dropped specs: %d of %d", len(got), len(specs))
+}
+
+// shardSize counts the specs InShard assigns to shard i of n.
+func shardSize(specs []RunSpec, i, n int) int {
+	size := 0
+	for _, s := range specs {
+		if InShard(s, i, n) {
+			size++
+		}
 	}
+	return size
 }
 
 // Assignment is hash-stable: it follows the content key, so presentation
@@ -112,7 +121,7 @@ func TestRunnerSkipsOutOfShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniqueIn := uint64(len(Shard(shardSpecs(), 0, 2)))
+	uniqueIn := uint64(shardSize(shardSpecs(), 0, 2))
 	uniqueOut := uint64(len(shardSpecs())) - uniqueIn
 	if got := sims.Load(); got != uniqueIn {
 		t.Errorf("simulated %d specs, want the %d unique in shard", got, uniqueIn)
@@ -160,10 +169,7 @@ func TestShardedRunnersPopulateFullStore(t *testing.T) {
 	if _, err := NewRunner(WithStore(ust)).RunAll(specs); err != nil {
 		t.Fatal(err)
 	}
-	wantKeys, err := ust.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantKeys := storeKeys(t, ust)
 
 	shardedDir := t.TempDir()
 	for i := 0; i < n; i++ {
@@ -176,18 +182,15 @@ func TestShardedRunnersPopulateFullStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := r.Metrics()
-		if m.Simulated != uint64(len(Shard(specs, i, n))) {
-			t.Errorf("shard %d simulated %d, want %d", i, m.Simulated, len(Shard(specs, i, n)))
+		if want := shardSize(specs, i, n); m.Simulated != uint64(want) {
+			t.Errorf("shard %d simulated %d, want %d", i, m.Simulated, want)
 		}
 	}
 	st, err := OpenStore(shardedDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotKeys, err := st.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotKeys := storeKeys(t, st)
 	if fmt.Sprint(gotKeys) != fmt.Sprint(wantKeys) {
 		t.Fatalf("shard union = %v, unsharded = %v", gotKeys, wantKeys)
 	}

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 )
@@ -181,7 +180,9 @@ func writeAtomic(path string, data []byte) error {
 // straight off it. Each walked file is decoded directly rather than
 // re-fetched through Get, so an entry filed under the wrong fan-out
 // directory (e.g. a hand-merged shard dir) is still yielded — possibly out
-// of key order, which List's sort repairs. A non-nil error from fn aborts
+// of key order. Walk plus Put is the manifest API for merging shard
+// outputs: read each shard's store and Put the union wherever it should
+// land. A non-nil error from fn aborts
 // the walk and is returned. Entries that fail the Get checks (corrupt,
 // stale version, key not matching the file name) are silently skipped.
 func (s *Store) Walk(fn func(*Result) error) error {
@@ -202,37 +203,6 @@ func (s *Store) Walk(fn func(*Result) error) error {
 		return fmt.Errorf("sim: store walk: %w", err)
 	}
 	return nil
-}
-
-// List decodes every valid entry in the store, sorted by key — the manifest
-// API for merging shard outputs: read each shard's store (or one shared
-// directory) and Put the union wherever it should land.
-func (s *Store) List() ([]*Result, error) {
-	var out []*Result
-	if err := s.Walk(func(res *Result) error {
-		out = append(out, res)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// Walk yields key order for correctly filed entries, but a misplaced
-	// entry (wrong fan-out directory) arrives wherever WalkDir finds it —
-	// this sort is what upholds List's ordering contract.
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
-}
-
-// Keys returns the sorted content keys of every valid entry.
-func (s *Store) Keys() ([]string, error) {
-	results, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(results))
-	for i, r := range results {
-		keys[i] = r.Key
-	}
-	return keys, nil
 }
 
 // StoreStats summarizes a store for monitoring endpoints (dkipd
