@@ -22,10 +22,14 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"dkip/internal/core"
 	"dkip/internal/experiments"
+	"dkip/internal/inorder"
+	"dkip/internal/kilo"
 	"dkip/internal/ooo"
+	"dkip/internal/sample"
 	"dkip/internal/sim"
 )
 
@@ -331,5 +335,71 @@ func BenchmarkRunnerCacheHit(b *testing.B) {
 	}
 	if m := r.Metrics(); m.Simulated != 1 {
 		b.Fatalf("simulated %d times, want 1", m.Simulated)
+	}
+}
+
+// sampledSweep returns the sampled sweep BenchmarkSampledSweep runs, in two
+// batches: the Figure 9 machines and the C920 on crafty, mcf and swim at
+// 10k+1M under the default sampling plan, first the first machine of each
+// checkpoint family (D-KIP, R10-64 for the out-of-order machines, the C920,
+// whose memory configuration gives it checkpoints of its own), then the
+// out-of-order machines that reuse R10-64's checkpoints. It is the spec set
+// of the repository benchmark's sampled-ckpt workload.
+func sampledSweep() [2][]sim.RunSpec {
+	const warmup, measure = 10_000, 1_000_000
+	var batches [2][]sim.RunSpec
+	for _, b := range []string{"crafty", "mcf", "swim"} {
+		batches[0] = append(batches[0],
+			sim.DKIPSpec(b, core.Config{}, warmup, measure),
+			sim.OOOSpec(b, ooo.R10K64(), warmup, measure),
+			sim.InorderSpec(b, inorder.C920(), warmup, measure))
+		batches[1] = append(batches[1],
+			sim.OOOSpec(b, ooo.R10K256(), warmup, measure),
+			sim.OOOSpec(b, kilo.Config1024(), warmup, measure))
+	}
+	for _, batch := range batches {
+		for i := range batch {
+			batch[i].Sample = sample.DefaultPlan()
+		}
+	}
+	return batches
+}
+
+// BenchmarkSampledSweep runs the sampled sweep (sampledSweep) once per
+// iteration, over a fresh checkpoint store and through a one-worker Runner.
+// The Runner lends each sampled run's detailed intervals a CPU when
+// GOMAXPROCS leaves one spare, so that the interval runs beside the
+// functional walk to the next interval start;
+//
+//	go test -run xxx -bench SampledSweep -cpu 1,2 .
+//
+// compares the overlapped schedule with the inline one. cpu-s/op is the
+// process's CPU time (user plus system) per sweep, where the platform
+// reports it.
+func BenchmarkSampledSweep(b *testing.B) {
+	batches := sampledSweep()
+	var cpu time.Duration
+	measured := true
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store, err := sim.OpenStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := sim.NewRunner(sim.WithStore(store), sim.Parallel(1))
+		c0, ok0 := processCPU()
+		b.StartTimer()
+		for _, batch := range batches {
+			if _, err := r.RunAll(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c1, ok1 := processCPU()
+		cpu += c1 - c0
+		measured = measured && ok0 && ok1
+	}
+	if measured {
+		b.ReportMetric(cpu.Seconds()/float64(b.N), "cpu-s/op")
 	}
 }

@@ -80,6 +80,9 @@ type Params struct {
 	// model's structural resources; the engine adds the fetch queue's
 	// FetchWidth × (FrontEndDepth + 2) entries.
 	WindowCap int
+	// RunaheadDepth bounds how many instructions the model keeps pulled
+	// ahead of fetch (Engine.PullAhead); zero for a model that pulls none.
+	RunaheadDepth int
 
 	Mem          mem.Config
 	NewPredictor func() predictor.Predictor
@@ -273,7 +276,7 @@ func (e *Engine) Confidence() *predictor.Confidence { return e.Conf }
 // calls on this engine pulled. A producer goroutine generates exactly that
 // prefix ahead of the cycle loop; past it the engine calls g itself. The
 // two never use g at the same time, and a panic in g is re-raised here with
-// the same value.
+// the same value. Past its target Run pulls at most Lookahead instructions.
 //
 //dkip:hotpath
 func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats {
@@ -308,10 +311,24 @@ func (e *Engine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats 
 		}
 	}
 	e.pulled += f.finish()
+	if over := e.pulled - target; over > e.Lookahead() {
+		panic(fmt.Sprintf("%s: %s on %s: Run pulled %d instructions past its target, over its Lookahead of %d",
+			e.P.Family, e.P.Name, g.Name(), over, e.Lookahead()))
+	}
 	out := e.Stats
 	out.Cycles = e.Cycle - e.statsBase
 	e.model.FinishStats(&out)
 	return &out
+}
+
+// Lookahead returns how many instructions past warmup+measure one Run call
+// can pull from its generator: when the last of them commits, every
+// instruction pulled and not committed sits in the window arena, the fetch
+// queue or the pulled-ahead buffer, which runahead keeps within
+// RunaheadDepth. Run panics if it pulls more. A sampled run keeps a
+// detailed interval's read-ahead up to this bound (internal/sample).
+func (e *Engine) Lookahead() uint64 {
+	return uint64(e.Win.Capacity() + len(e.FQ) + e.P.RunaheadDepth)
 }
 
 //dkip:hotpath

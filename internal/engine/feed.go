@@ -31,6 +31,7 @@ const feedStopped = "engine: the instruction generator exited the feed goroutine
 // producer's exit mark.
 type feed struct {
 	g    trace.Generator
+	fill trace.Filler // g, when it can fill a chunk in one call
 	name string
 	want uint64 // instructions the producer generates for this call
 
@@ -86,6 +87,7 @@ func (e *Engine) supply(g trace.Generator, n uint64) *feed {
 	}
 	f := e.feed
 	f.g, f.name, f.want, f.extra, f.slot = g, g.Name(), n, 0, 0
+	f.fill, _ = g.(trace.Filler)
 	if n > 0 {
 		f.live = true
 		f.spawn()
@@ -101,7 +103,8 @@ func (f *feed) spawn() {
 	go f.produce()
 }
 
-// produce generates the call's first want instructions into the ring. It
+// produce generates the call's first want instructions into the ring, one
+// Fill call per chunk when the generator has it. It
 // recovers a generator panic, or notes a runtime.Goexit, for the caller to
 // raise, and always ends with the exit mark.
 //
@@ -122,8 +125,12 @@ func (f *feed) produce() {
 			return
 		}
 		c := f.ring[slot][:min(n, feedChunk)]
-		for i := range c {
-			c[i] = f.g.Next()
+		if f.fill != nil {
+			f.fill.Fill(c)
+		} else {
+			for i := range c {
+				c[i] = f.g.Next()
+			}
 		}
 		n -= uint64(len(c))
 		f.full <- len(c)

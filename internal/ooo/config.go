@@ -154,6 +154,7 @@ func (c Config) Params() engine.Params {
 		MemPorts:        c.MemPorts,
 		MSHRs:           c.MSHRs,
 		WindowCap:       winCap,
+		RunaheadDepth:   c.RunaheadDepth,
 		Mem:             c.Mem,
 		NewPredictor:    c.NewPredictor,
 	}

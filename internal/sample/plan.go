@@ -10,6 +10,11 @@ package sample
 
 import "fmt"
 
+// MaxIntervals caps Plan.Intervals. Run builds one engine per interval and
+// holds a start position and a CPI for each, so an unbounded count is a
+// way to exhaust memory; the repository's experiments use at most 8.
+const MaxIntervals = 1024
+
 // Plan describes how a run is sampled. The zero value means "not sampled":
 // a full detailed run. Any non-zero field enables sampling, with the
 // remaining fields defaulted by Complete relative to the run's scale and the
@@ -19,7 +24,8 @@ import "fmt"
 // the completed plan), so two specs asking for the same sampling — whether
 // spelled explicitly or via defaults — memoize as the same run.
 type Plan struct {
-	// Intervals is the number of detailed measurement intervals (default 4).
+	// Intervals is the number of detailed measurement intervals (default
+	// 4, at most MaxIntervals).
 	Intervals int `json:"intervals,omitempty"`
 	// Interval is the number of instructions measured in detail per
 	// interval (default: whatever keeps total detailed work, warmup
@@ -111,8 +117,9 @@ func (p Plan) Complete(warmup, measure, window uint64) Plan {
 
 // Validate reports an error when the plan cannot tile the run: intervals
 // must fit between their start positions, and at least two intervals are
-// needed for a confidence interval. It expects a completed plan (Complete);
-// zero fields are completed with an unknown window first.
+// needed for a confidence interval, and at most MaxIntervals are allowed.
+// It expects a completed plan (Complete); zero fields are completed with an
+// unknown window first.
 func (p Plan) Validate(measure uint64) error {
 	if !p.Enabled() {
 		return nil
@@ -121,11 +128,15 @@ func (p Plan) Validate(measure uint64) error {
 	if n.Intervals < 2 {
 		return fmt.Errorf("sample: need at least 2 intervals for a confidence interval, have %d", n.Intervals)
 	}
+	if n.Intervals > MaxIntervals {
+		return fmt.Errorf("sample: %d intervals exceed the limit of %d (sample.MaxIntervals)", n.Intervals, MaxIntervals)
+	}
 	stride := measure / uint64(n.Intervals)
 	if stride == 0 {
 		return fmt.Errorf("sample: measure %d too small for %d intervals", measure, n.Intervals)
 	}
-	if n.Warmup+n.Interval > stride {
+	// Compared without forming the sum, which can wrap.
+	if n.Warmup > stride || n.Interval > stride-n.Warmup {
 		return fmt.Errorf("sample: interval warmup+measure %d+%d exceeds stride %d (measure %d / %d intervals)",
 			n.Warmup, n.Interval, stride, measure, n.Intervals)
 	}

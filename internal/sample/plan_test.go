@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,19 @@ func TestPlanValidate(t *testing.T) {
 	}
 	if err := DefaultPlan().Validate(1_000_000); err != nil {
 		t.Errorf("default plan invalid: %v", err)
+	}
+	// warmup+interval wraps to 1, which fits any stride: the sum must not
+	// be formed.
+	if err := (Plan{Intervals: 4, Warmup: 2, Interval: math.MaxUint64}.Validate(40_000)); err == nil {
+		t.Error("plan whose warmup+interval wraps validated")
+	}
+	// 2^37 one-instruction intervals tile a 2^39-instruction run, but
+	// would need a start and an engine each.
+	if err := (Plan{Intervals: 1 << 37, Warmup: 1, Interval: 1}.Validate(1 << 39)); err == nil || !strings.Contains(err.Error(), "MaxIntervals") {
+		t.Errorf("2^37 intervals validated: %v", err)
+	}
+	if err := (Plan{Intervals: MaxIntervals, Warmup: 1, Interval: 1}.Validate(2 * MaxIntervals)); err != nil {
+		t.Errorf("MaxIntervals intervals invalid: %v", err)
 	}
 }
 

@@ -24,6 +24,10 @@ type Engine interface {
 	CaptureArch(bench string, pos uint64) (*ckpt.Checkpoint, error)
 	// RestoreArch loads a snapshot; the generator cursor is the caller's.
 	RestoreArch(c *ckpt.Checkpoint) error
+	// Lookahead returns how many instructions past warmup+measure one Run
+	// call can pull from its generator; Run panics if it pulls more. The
+	// run's tape keeps a detailed interval's read-ahead up to this bound.
+	Lookahead() uint64
 }
 
 // Config drives one sampled run.
@@ -57,6 +61,13 @@ type Config struct {
 	Load func(pos uint64) *ckpt.Checkpoint
 	// Store persists a freshly captured checkpoint. Optional.
 	Store func(c *ckpt.Checkpoint)
+	// LendCPU asks for a CPU on which a detailed interval can run beside
+	// the walk to the next interval start. It returns the function that
+	// gives the CPU back, which Run calls once it has joined the interval,
+	// or nil when no CPU is spare; the interval then runs inline, in the
+	// order a run without LendCPU uses. Run calls it from its own goroutine,
+	// once per interval. Optional.
+	LendCPU func() (giveBack func())
 }
 
 // IO counts checkpoint-store traffic for one sampled run. It feeds runner
@@ -114,6 +125,18 @@ func (s *Summary) Reduction() float64 {
 // Either way every instruction an engine sees is the one a plain walk would
 // give it. The aggregate Stats sum the measured intervals, so downstream
 // consumers (tables, CSV, JSON) read them exactly like full-run stats.
+//
+// The walk and the detailed intervals read no state of each other's, so
+// when LendCPU grants a CPU, interval i runs on a helper goroutine as soon
+// as checkpoint i exists, while the calling goroutine walks on toward
+// checkpoint i+1. At most one interval is in flight: Run joins it before it
+// dispatches the next, seeks to a checkpoint hit or stores a checkpoint,
+// so hits stay serial, only the cursor and one detailed engine are alive at
+// a time, and statistics, per-interval CPIs, IO and Store calls follow
+// interval order. Results, stored checkpoints and IO are therefore the same
+// whether or not a CPU was lent. A panic in an interval reaches Run's caller
+// with the same value, ahead of any later failure of the walk, and no
+// goroutine Run starts outlives it.
 func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 	var io IO
 	plan := c.Plan.Complete(c.Warmup, c.Measure, 0)
@@ -133,15 +156,37 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 	// drops it, and the next miss seats a fresh one from the last
 	// checkpoint, which was taken at the walk's position too.
 	var (
-		// Every detailed interval reads at least its warmup and measured
-		// instructions ahead of the walk; sizing the tape for them up front
-		// spares the growth copies that would otherwise raise peak memory.
-		walk   = newTape(c.NewGen(), plan.Warmup+plan.Interval)
+		walk   = newTape(c.NewGen())
 		cursor Engine
 		lastCk *ckpt.Checkpoint
+		// flight is the detailed interval dispatched last and not yet
+		// folded into the aggregate.
+		flight *interval
 	)
 	agg := &pipeline.Stats{}
 	cpis := make([]float64, 0, plan.Intervals)
+	// join waits for the interval in flight, re-raises its panic, and folds
+	// its statistics.
+	join := func() {
+		if iv := flight; iv != nil {
+			flight = nil
+			st := iv.wait()
+			accumulate(agg, st)
+			cpis = append(cpis, float64(st.Cycles)/float64(st.Committed))
+		}
+	}
+	// A panic of the walk joins the interval in flight: no goroutine
+	// outlives Run, and in interval order the interval came first, so its
+	// panic, if any, is the one raised.
+	defer func() {
+		if flight != nil {
+			flight.wait()
+		}
+	}()
+	fail := func(err error) (*pipeline.Stats, *Summary, IO, error) {
+		join()
+		return nil, nil, io, err
+	}
 	for i, pos := range starts {
 		var ck *ckpt.Checkpoint
 		if c.Load != nil {
@@ -153,6 +198,7 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		if ck != nil {
 			io.Hits++
 			cursor = nil
+			join()
 			walk.seek(pos, ck.Gen)
 		} else {
 			io.Misses++
@@ -160,7 +206,7 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 				cursor = c.NewEngine()
 				if lastCk != nil {
 					if err := cursor.RestoreArch(lastCk); err != nil {
-						return nil, nil, io, err
+						return fail(err)
 					}
 				} else {
 					cursor.Hierarchy().Warm(c.WarmRanges)
@@ -169,9 +215,10 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 			cursor.WarmFunctional(walk, pos-walk.pos)
 			var err error
 			if ck, err = cursor.CaptureArch(c.Bench, pos); err != nil {
-				return nil, nil, io, err
+				return fail(err)
 			}
 			ck.Gen = walk.genState()
+			join()
 			if c.Store != nil {
 				c.Store(ck)
 				io.Writes++
@@ -183,10 +230,14 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		if err := eng.RestoreArch(ck); err != nil {
 			return nil, nil, io, err
 		}
-		st := eng.Run(walk.read(starts[i+1:]), plan.Warmup, plan.Interval)
-		accumulate(agg, st)
-		cpis = append(cpis, float64(st.Cycles)/float64(st.Committed))
+		r := walk.read(starts[i+1:], plan.Warmup+plan.Interval+eng.Lookahead())
+		flight = &interval{eng: eng, r: r, warmup: plan.Warmup, measure: plan.Interval}
+		if c.LendCPU != nil {
+			flight.giveBack = c.LendCPU()
+		}
+		flight.start()
 	}
+	join()
 
 	mean, sd := meanStdDev(cpis)
 	sum := &Summary{
@@ -200,6 +251,67 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		CPICI95:        tCritical95(plan.Intervals-1) * sd / math.Sqrt(float64(plan.Intervals)),
 	}
 	return agg, sum, io, nil
+}
+
+// intervalStopped is the value Run raises when a detailed interval ended
+// its goroutine with runtime.Goexit rather than returning or panicking.
+const intervalStopped = "sample: a detailed interval exited its goroutine (runtime.Goexit)"
+
+// interval is one detailed interval's run of its engine over its reader:
+// on a helper goroutine when a CPU was lent for it, else inline.
+type interval struct {
+	eng             Engine
+	r               *reader
+	warmup, measure uint64
+	// giveBack returns the lent CPU; nil when the interval runs inline.
+	giveBack func()
+	done     chan struct{}
+	st       *pipeline.Stats
+	failure  any // what ended the helper goroutine, if not the interval's end
+}
+
+// start runs the interval: inline, where a panic propagates at once, or on
+// a helper goroutine, which records its panic for wait.
+func (iv *interval) start() {
+	if iv.giveBack == nil {
+		iv.run()
+		return
+	}
+	iv.done = make(chan struct{})
+	go func() {
+		finished := false
+		defer func() {
+			if !finished {
+				if iv.failure = recover(); iv.failure == nil {
+					iv.failure = intervalStopped
+				}
+			}
+			close(iv.done)
+		}()
+		iv.run()
+		finished = true
+	}()
+}
+
+// run simulates the interval, then closes its reader and drops its engine,
+// which can be collected while the walk goes on.
+func (iv *interval) run() {
+	iv.st = iv.eng.Run(iv.r, iv.warmup, iv.measure)
+	iv.r.close()
+	iv.eng, iv.r = nil, nil
+}
+
+// wait joins the interval, gives its CPU back, and returns its statistics,
+// re-raising its panic.
+func (iv *interval) wait() *pipeline.Stats {
+	if iv.done != nil {
+		<-iv.done
+		iv.giveBack()
+	}
+	if iv.failure != nil {
+		panic(iv.failure)
+	}
+	return iv.st
 }
 
 // accumulate folds one interval's stats into the aggregate: counters add,

@@ -162,16 +162,21 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 }
 
 // A run too long for the engine's budget arithmetic is a bad spec, not a
-// crash: both shapes that once got through (a measure that wrapped the
-// cycle budget, a warmup+measure sum that wrapped) get a 400 naming the
-// limit, and the daemon keeps serving.
+// crash: the shapes that once got through (a measure that wrapped the cycle
+// budget, a warmup+measure sum that wrapped, a sampling plan whose
+// warmup+interval wrapped, a sampling plan of 2^37 intervals) get a 400
+// naming the limit, and the daemon keeps serving.
 func TestSubmitRejectsOverlongRun(t *testing.T) {
 	ts, runner := newTestServer(t, nil)
-	for name, body := range map[string]string{
-		"budget wraps": `{"arch":"dkip","bench":"swim","warmup":0,"measure":4611686018427387904}`,
-		"sum wraps":    `{"arch":"dkip","bench":"swim","warmup":18446744073709551615,"measure":2}`,
+	for name, c := range map[string]struct{ body, limit string }{
+		"budget wraps": {`{"arch":"dkip","bench":"swim","warmup":0,"measure":4611686018427387904}`, strconv.FormatUint(engine.MaxRunInstrs, 10)},
+		"sum wraps":    {`{"arch":"dkip","bench":"swim","warmup":18446744073709551615,"measure":2}`, strconv.FormatUint(engine.MaxRunInstrs, 10)},
+		// A sampling plan whose warmup+interval wraps, and one with an
+		// interval count no run could hold, over valid run lengths.
+		"interval sum wraps": {`{"arch":"dkip","bench":"gcc","warmup":1000,"measure":40000,"sample":{"intervals":4,"warmup":2,"interval":18446744073709551615}}`, "stride"},
+		"2^37 intervals":     {`{"arch":"dkip","bench":"gcc","warmup":1000,"measure":549755813888,"sample":{"intervals":137438953472,"warmup":1,"interval":1}}`, "MaxIntervals"},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +185,8 @@ func TestSubmitRejectsOverlongRun(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
-		if !strings.Contains(string(msg), strconv.FormatUint(engine.MaxRunInstrs, 10)) {
-			t.Errorf("%s: error %q does not name the limit", name, msg)
+		if !strings.Contains(string(msg), c.limit) {
+			t.Errorf("%s: error %q does not name the limit (%s)", name, msg, c.limit)
 		}
 	}
 	servesAfterRejects(t, ts, runner)

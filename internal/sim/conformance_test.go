@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 
+	"dkip/internal/mem"
+	"dkip/internal/ooo"
 	"dkip/internal/sample"
 	"dkip/internal/trace"
 	"dkip/internal/workload"
@@ -142,4 +145,65 @@ func statsJSON(t *testing.T, v interface{}) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestRunStaysWithinLookahead is the conformance row behind a sampled run's
+// tape, which keeps a detailed interval's read-ahead only up to the
+// engine's Lookahead: on every preset, the limit core and a runahead
+// configuration, one Run — from a cold engine, and from a restored
+// checkpoint as a sampled interval starts — pulls at most Lookahead
+// instructions past its warmup+measure. (Run also panics past the bound.)
+func TestRunStaysWithinLookahead(t *testing.T) {
+	specs := map[string]RunSpec{"limit-2048": LimitSpec(2048, mem.DefaultConfig(), "", 0, 0)}
+	for _, name := range PresetNames() {
+		specs[name] = MustPresetSpec(name, "", 0, 0)
+	}
+	ra := ooo.R10K64()
+	ra.Name, ra.RunaheadDepth = "R10-64+runahead", 256
+	specs["r10-64+runahead"] = OOOSpec("", ra, 0, 0)
+	names := make([]string, 0, len(specs))
+	for name := range specs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	const pos = 20_000
+	for _, name := range names {
+		spec := specs[name]
+		var most uint64
+		for _, bench := range []string{"gcc", "mcf", "swim"} {
+			donor := spec.NewEngine()
+			b := workload.MustNew(bench)
+			donor.Hierarchy().Warm(b.WarmRanges())
+			donor.WarmFunctional(b, pos)
+			ck, err := donor.CaptureArch(bench, pos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range [][2]uint64{{0, 5_000}, {2_000, 20_000}} {
+				for _, restored := range []bool{false, true} {
+					e := spec.NewEngine()
+					b := workload.MustNew(bench)
+					if restored {
+						if err := e.RestoreArch(ck); err != nil {
+							t.Fatal(err)
+						}
+						for i := 0; i < pos; i++ {
+							b.Next()
+						}
+					} else {
+						e.Hierarchy().Warm(b.WarmRanges())
+					}
+					var calls uint64
+					e.Run(&countedGen{Benchmark: b, calls: &calls}, w[0], w[1])
+					over := calls - (w[0] + w[1])
+					if over > e.Lookahead() {
+						t.Errorf("%s on %s, %d+%d (restored %v): pulled %d past the target, over the Lookahead of %d",
+							name, bench, w[0], w[1], restored, over, e.Lookahead())
+					}
+					most = max(most, over)
+				}
+			}
+		}
+		t.Logf("%s: pulled at most %d past the target; Lookahead %d", name, most, spec.NewEngine().Lookahead())
+	}
 }

@@ -160,6 +160,11 @@ type Runner struct {
 	waiters map[string][]chan *Result
 	results []*Result
 	m       Metrics
+	// running counts the simulations holding a worker slot, and lent the
+	// CPUs lent to their sampled intervals (lendCPU); lends counts every
+	// CPU lent so far.
+	running, lent int
+	lends         uint64
 }
 
 // call is one in-flight or completed simulation.
@@ -309,7 +314,15 @@ func placeholder(spec RunSpec, key string) *Result {
 // simulate performs one real execution under the worker-pool bound.
 func (r *Runner) simulate(spec RunSpec) (*Result, error) {
 	r.sem <- struct{}{}
-	defer func() { <-r.sem }()
+	r.mu.Lock()
+	r.running++
+	r.mu.Unlock()
+	defer func() {
+		r.mu.Lock()
+		r.running--
+		r.mu.Unlock()
+		<-r.sem
+	}()
 	if r.hook != nil {
 		r.hook(spec)
 	}
@@ -333,7 +346,7 @@ func (r *Runner) simulate(spec RunSpec) (*Result, error) {
 		}
 		var io sample.IO
 		var err error
-		st, sum, io, err = SimulateSampled(spec, ckStore)
+		st, sum, io, err = simulateSampled(spec, ckStore, r.lendCPU)
 		if err != nil {
 			return nil, err
 		}
@@ -365,6 +378,25 @@ func (r *Runner) simulate(spec RunSpec) (*Result, error) {
 	r.results = append(r.results, res)
 	r.mu.Unlock()
 	return res, nil
+}
+
+// lendCPU is the sample.Config.LendCPU of the Runner's sampled runs: it
+// lends a detailed interval a CPU only while the running simulations plus
+// the CPUs already lent are fewer than GOMAXPROCS, so a sweep that keeps
+// every worker busy runs its intervals inline and is not oversubscribed.
+func (r *Runner) lendCPU() func() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.running+r.lent >= runtime.GOMAXPROCS(0) {
+		return nil
+	}
+	r.lent++
+	r.lends++
+	return func() {
+		r.mu.Lock()
+		r.lent--
+		r.mu.Unlock()
+	}
 }
 
 // RunAll executes all specs concurrently (bounded by the worker pool),

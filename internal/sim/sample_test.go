@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"dkip/internal/core"
@@ -378,5 +381,176 @@ func TestSampledPassGeneratorCalls(t *testing.T) {
 		len(specs), total, reused, len(reusing), io.Hits, io.Misses, io.Writes)
 	if want := (sample.IO{Hits: 24, Misses: 36, Writes: 36}); io != want {
 		t.Errorf("checkpoint traffic %+v, want %+v", io, want)
+	}
+}
+
+// TestRunnerLendsSpareCPU pins the lending rule: a simulation may borrow a
+// CPU for a sampled interval only while the Runner's running simulations
+// plus the CPUs already lent are fewer than GOMAXPROCS. A one-worker Runner
+// lends one CPU at GOMAXPROCS 2 and none at 1, and a Runner whose workers
+// are all busy lends none.
+func TestRunnerLendsSpareCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name           string
+		procs, workers int
+		want           int
+	}{
+		{"Parallel(1) at GOMAXPROCS 2", 2, 1, 1},
+		{"Parallel(1) at GOMAXPROCS 1", 1, 1, 0},
+		{"Parallel(2) busy at GOMAXPROCS 2", 2, 2, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(c.procs)
+			var r *Runner
+			// Every worker holds its slot before any asks to borrow, and
+			// keeps it until all have asked.
+			var busy, asked sync.WaitGroup
+			busy.Add(c.workers)
+			asked.Add(c.workers)
+			var mu sync.Mutex
+			var granted []int
+			r = NewRunner(Parallel(c.workers), OnSimulate(func(RunSpec) {
+				busy.Done()
+				busy.Wait()
+				var giveBack []func()
+				for len(giveBack) <= c.procs {
+					g := r.lendCPU()
+					if g == nil {
+						break
+					}
+					giveBack = append(giveBack, g)
+				}
+				mu.Lock()
+				granted = append(granted, len(giveBack))
+				mu.Unlock()
+				asked.Done()
+				asked.Wait()
+				for _, g := range giveBack {
+					g()
+				}
+			}))
+			var specs []RunSpec
+			for _, b := range []string{"gcc", "swim"}[:c.workers] {
+				specs = append(specs, MustPresetSpec("r10-64", b, 100, 1_000))
+			}
+			if _, err := r.RunAll(specs); err != nil {
+				t.Fatal(err)
+			}
+			if len(granted) != c.workers {
+				t.Fatalf("%d simulations asked to borrow, want %d", len(granted), c.workers)
+			}
+			for _, n := range granted {
+				if n != c.want {
+					t.Errorf("a running simulation borrowed %d CPUs, want %d", n, c.want)
+				}
+			}
+			if r.lent != 0 {
+				t.Errorf("%d CPUs still lent after the runs", r.lent)
+			}
+		})
+	}
+}
+
+// TestLendingRunnerMatchesSimulateSampled runs sampled specs through a
+// one-worker Runner at GOMAXPROCS 2, which lends a CPU to every interval so
+// each runs beside the walk, and through SimulateSampled, which runs them
+// inline, each over a store prepared the same way: empty, holding every
+// checkpoint, every other one, or each filed under the wrong position. The
+// statistics, summaries and checkpoint traffic agree, and so do the
+// checkpoints the two leave in their stores. The 2k/8k plan's intervals
+// tile their stride, so detailed reads cross the next interval start there.
+func TestLendingRunnerMatchesSimulateSampled(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, sc := range []struct{ warmup, measure uint64 }{{10_000, 200_000}, {2_000, 8_000}} {
+		spec := DKIPSpec("mcf", core.Config{}, sc.warmup, sc.measure)
+		spec.Sample = sample.DefaultPlan()
+		plan := spec.SamplePlan()
+		stride := sc.measure / uint64(plan.Intervals)
+		var starts []uint64
+		for i := 0; i < plan.Intervals; i++ {
+			starts = append(starts, sc.warmup+uint64(i)*stride)
+		}
+		full, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := SimulateSampled(spec, full); err != nil {
+			t.Fatal(err)
+		}
+		blob := func(pos uint64) []byte {
+			data, ok := full.GetBlob(ckptKind, spec.checkpointKey(pos))
+			if !ok {
+				t.Fatalf("no checkpoint at %d", pos)
+			}
+			return data
+		}
+		for _, state := range []struct {
+			name string
+			fill func(s *Store)
+		}{
+			{"empty", func(*Store) {}},
+			{"full", func(s *Store) {
+				for _, pos := range starts {
+					s.PutBlob(ckptKind, spec.checkpointKey(pos), blob(pos))
+				}
+			}},
+			{"every-other", func(s *Store) {
+				for i, pos := range starts {
+					if i%2 == 0 {
+						s.PutBlob(ckptKind, spec.checkpointKey(pos), blob(pos))
+					}
+				}
+			}},
+			{"misfiled", func(s *Store) {
+				for _, pos := range starts[:len(starts)-1] {
+					s.PutBlob(ckptKind, spec.checkpointKey(pos), blob(pos+stride))
+				}
+			}},
+		} {
+			name := fmt.Sprintf("%d+%d %s", sc.warmup, sc.measure, state.name)
+			stores := [2]*Store{}
+			for i := range stores {
+				if stores[i], err = OpenStore(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				state.fill(stores[i])
+			}
+			want, wantSum, wantIO, err := SimulateSampled(spec, stores[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(WithStore(stores[1]), Parallel(1))
+			res, err := r.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.lends != uint64(plan.Intervals) {
+				t.Errorf("%s: the Runner lent %d CPUs, want one per interval (%d)", name, r.lends, plan.Intervals)
+			}
+			if !reflect.DeepEqual(res.Stats, want) {
+				t.Errorf("%s: stats differ\nrunner:          %+v\nSimulateSampled: %+v", name, res.Stats, want)
+			}
+			if !reflect.DeepEqual(res.Sampled, wantSum) {
+				t.Errorf("%s: summary %+v, SimulateSampled %+v", name, res.Sampled, wantSum)
+			}
+			m := r.Metrics()
+			if got := (sample.IO{Hits: m.CheckpointHits, Misses: m.CheckpointMisses, Writes: m.CheckpointWrites}); got != wantIO {
+				t.Errorf("%s: checkpoint traffic %+v, SimulateSampled %+v", name, got, wantIO)
+			}
+			var blobs [2]map[string]string
+			for i, s := range stores {
+				blobs[i] = map[string]string{}
+				if err := s.WalkBlobs(ckptKind, func(key string, data []byte) error {
+					blobs[i][key] = string(data)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(blobs[0], blobs[1]) {
+				t.Errorf("%s: the Runner's store holds %d checkpoints, SimulateSampled's %d, and they differ", name, len(blobs[1]), len(blobs[0]))
+			}
+		}
 	}
 }

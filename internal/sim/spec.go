@@ -235,11 +235,21 @@ const ckptKind = "checkpoints"
 // of different machines that share the memory/predictor configuration, and
 // resumed runs of a killed sweep. The returned stats and summary are a pure
 // function of the spec; only the IO counters depend on what the store held.
+//
+// Its detailed intervals run inline; a Runner's sampled runs overlap them
+// with the functional walk when it has a CPU to lend (sample.Config.LendCPU).
 func SimulateSampled(s RunSpec, store *Store) (*pipeline.Stats, *sample.Summary, sample.IO, error) {
+	return simulateSampled(s, store, nil)
+}
+
+// simulateSampled is SimulateSampled with lend as the run's
+// sample.Config.LendCPU.
+func simulateSampled(s RunSpec, store *Store, lend func() func()) (*pipeline.Stats, *sample.Summary, sample.IO, error) {
 	cfg, err := sampledConfig(s, store)
 	if err != nil {
 		return nil, nil, sample.IO{}, err
 	}
+	cfg.LendCPU = lend
 	return sample.Run(cfg)
 }
 

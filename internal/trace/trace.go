@@ -27,6 +27,18 @@ type Generator interface {
 	Name() string
 }
 
+// Filler is a Generator that can supply several instructions in one call.
+// The engine's instruction feed fills each chunk of its ring with one Fill
+// call when the generator has it, so a generator shared by several
+// goroutines (a sampled run's tape) takes its lock once per chunk, not once
+// per instruction.
+type Filler interface {
+	Generator
+	// Fill writes the next len(buf) instructions of the stream into buf,
+	// exactly as len(buf) Next calls would return them.
+	Fill(buf []isa.Instr)
+}
+
 // Take materializes the next n instructions from g.
 func Take(g Generator, n int) []isa.Instr {
 	out := make([]isa.Instr, n)
