@@ -25,7 +25,6 @@ import (
 	"dkip/internal/isa"
 	"dkip/internal/mem"
 	"dkip/internal/predictor"
-	"dkip/internal/trace"
 )
 
 // Checkpoint is the architectural state at a stream position.
@@ -57,15 +56,15 @@ type Checkpoint struct {
 	Gen []byte
 }
 
-// WarmFunctional advances the architectural state by n instructions of g
-// without simulating any pipeline: loads and stores walk the cache
-// hierarchy, branches train the predictor (and confidence estimator, when
-// present), everything else is skipped. The predictor sees exactly the
-// Predict/Update sequence the detailed fetch stages issue, so functionally
-// warmed state is indistinguishable from detailed-run state.
-func WarmFunctional(h *mem.Hierarchy, bp predictor.Predictor, conf *predictor.Confidence, g trace.Generator, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		in := g.Next()
+// WarmFunctional advances the architectural state by the instructions of
+// stream, in order, without simulating any pipeline: loads and stores walk
+// the cache hierarchy, branches train the predictor (and confidence
+// estimator, when present), everything else is skipped. The predictor sees
+// exactly the Predict/Update sequence the detailed fetch stages issue, so
+// functionally warmed state is indistinguishable from detailed-run state.
+func WarmFunctional(h *mem.Hierarchy, bp predictor.Predictor, conf *predictor.Confidence, stream []isa.Instr) {
+	for i := range stream {
+		in := &stream[i]
 		switch in.Op {
 		case isa.Load, isa.Store:
 			h.Access(in.Addr)

@@ -155,19 +155,39 @@ func (f *feed) Next() isa.Instr {
 //
 //dkip:hotpath
 func (f *feed) refill() isa.Instr {
-	if f.live {
-		if f.cur != nil {
-			f.free <- struct{}{}
-		}
-		if n := <-f.full; n > 0 {
-			f.cur, f.i = f.ring[f.slot][:n], 1
-			f.slot = (f.slot + 1) % feedChunks
-			return f.cur[0]
-		}
-		f.exited()
+	if c := f.chunk(); c != nil {
+		f.i = 1
+		return c[0]
 	}
 	f.extra++
 	return f.g.Next()
+}
+
+// chunk returns the rest of the chunk being read, or else the producer's
+// next chunk, and marks it read; nil once the producer has exited. A
+// WarmFunctional call reads its whole stream this way.
+//
+//dkip:hotpath
+func (f *feed) chunk() []isa.Instr {
+	if f.i < len(f.cur) {
+		c := f.cur[f.i:]
+		f.i = len(f.cur)
+		return c
+	}
+	if !f.live {
+		return nil
+	}
+	if f.cur != nil {
+		f.free <- struct{}{}
+	}
+	n := <-f.full
+	if n == 0 {
+		f.exited()
+		return nil
+	}
+	f.cur, f.i = f.ring[f.slot][:n], n
+	f.slot = (f.slot + 1) % feedChunks
+	return f.cur
 }
 
 // Name returns the generator's name.

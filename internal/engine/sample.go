@@ -13,12 +13,14 @@ import (
 // fast-forward mode between detailed measurement intervals.
 //
 // It generates exactly n instructions, all on a producer goroutine running
-// ahead of the warming loop (see Run); a panic in g is re-raised here with
-// the same value.
+// ahead of the warming loop (see Run), which warms a chunk at a time; a
+// panic in g is re-raised here with the same value.
 func (e *Engine) WarmFunctional(g trace.Generator, n uint64) {
 	f := e.supply(g, n)
 	defer f.abort()
-	ckpt.WarmFunctional(e.Hier, e.BP, e.Conf, f, n)
+	for c := f.chunk(); c != nil; c = f.chunk() {
+		ckpt.WarmFunctional(e.Hier, e.BP, e.Conf, c)
+	}
 	f.finish()
 }
 

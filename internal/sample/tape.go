@@ -54,7 +54,8 @@ type tape struct {
 	mu    sync.Mutex
 	idle  sync.Cond // signalled when the generator is put down
 	gen   trace.Generator
-	state stateful // gen's state methods, or nil when it has none
+	fill  trace.Filler // gen, when it can fill a slice in one call
+	state stateful     // gen's state methods, or nil when it has none
 	name  string
 
 	// ring keeps stream position p at ring[p%len(ring)], for the positions
@@ -89,6 +90,7 @@ var _ trace.Filler = (*tape)(nil)
 func newTape(g trace.Generator) *tape {
 	t := &tape{gen: g, name: g.Name()}
 	t.idle.L = &t.mu
+	t.fill, _ = g.(trace.Filler)
 	t.state, _ = g.(stateful)
 	return t
 }
@@ -146,19 +148,16 @@ func (t *tape) copyOut(buf []isa.Instr, p uint64) int {
 func (t *tape) generate(buf []isa.Instr, keep uint64) {
 	from := t.hi
 	t.hold(func() {
-		var i uint64
-		if keep > 0 {
-			i = from % uint64(len(t.ring))
-		}
-		for k := range buf {
-			in := t.gen.Next()
-			buf[k] = in
-			if uint64(k) < keep {
-				t.ring[i] = in
-				if i++; i == uint64(len(t.ring)) {
-					i = 0
-				}
+		if t.fill != nil {
+			t.fill.Fill(buf)
+		} else {
+			for k := range buf {
+				buf[k] = t.gen.Next()
 			}
+		}
+		if keep > 0 {
+			n := copy(t.ring[from%uint64(len(t.ring)):], buf[:keep])
+			copy(t.ring, buf[n:keep])
 		}
 	})
 	t.hi = from + uint64(len(buf))

@@ -308,8 +308,8 @@ func TestSampledStreamResumeAcrossMachines(t *testing.T) {
 	}
 }
 
-// countedGen counts the Next calls on a workload generator; its state
-// methods stay visible to sample.Run.
+// countedGen counts the instructions a workload generator produces,
+// through Next or Fill; its state methods stay visible to sample.Run.
 type countedGen struct {
 	*workload.Benchmark
 	calls *uint64
@@ -318,6 +318,11 @@ type countedGen struct {
 func (g *countedGen) Next() isa.Instr {
 	*g.calls++
 	return g.Benchmark.Next()
+}
+
+func (g *countedGen) Fill(buf []isa.Instr) {
+	*g.calls += uint64(len(buf))
+	g.Benchmark.Fill(buf)
 }
 
 // TestSampledPassGeneratorCalls counts the instructions a sampled sweep

@@ -47,7 +47,7 @@ const (
 const baseReg = isa.Reg(0)
 
 // Benchmark is a deterministic synthetic instruction stream for one profile.
-// It implements trace.Generator. Not safe for concurrent use.
+// It implements trace.Filler. Not safe for concurrent use.
 type Benchmark struct {
 	prof   Profile
 	blocks []block
@@ -56,8 +56,8 @@ type Benchmark struct {
 	cur, pos int
 	iterLeft []int // per-block remaining loop iterations
 
-	// Recent register writers per class, newest first.
-	recentInt, recentFP []isa.Reg
+	// Recent register writers per class.
+	recentInt, recentFP writers
 	nextInt, nextFP     int // round-robin destination allocators
 
 	// Address-stream state.
@@ -70,15 +70,48 @@ type Benchmark struct {
 
 	// Per-profile constants of the dynamic stream, computed once by derive
 	// with the float operations Next would otherwise repeat per instruction.
-	bodyW  [7]float64 // body slot kinds: load, store, int ALU, int mul, FP add, FP mul, FP div
-	patW   [4]float64 // load address patterns: stream, stride, hot, chase
-	pDep   float64    // 1/MeanDepDist, the dependence-distance probability
-	pChain float64    // 1/ChaseChainLen, the chase-chain length probability
-	hotZ   xrand.Zipf // reuse skew over the hot region's 8-byte words
-	fp     uint64     // fingerprint of the profile, leading every state snapshot
+	bodyW   xrand.Weights // body slot kinds: load, store, int ALU, int mul, FP add, FP mul, FP div
+	patW    xrand.Weights // load address patterns: stream, stride, hot, chase
+	pDep    xrand.Prob    // 1/MeanDepDist, the dependence-distance probability
+	pChain  xrand.Prob    // 1/ChaseChainLen, the chase-chain length probability
+	pLoadFP xrand.Prob    // LoadFPFrac
+	pBias   xrand.Prob    // BrBias
+	pNoise  xrand.Prob    // DataDepNoise
+	hotZ    xrand.Zipf    // reuse skew over the hot region's 8-byte words
+	fp      uint64        // fingerprint of the profile, leading every state snapshot
 }
 
-var _ trace.Generator = (*Benchmark)(nil)
+// The fixed probabilities of the dynamic stream.
+var (
+	pSecondSrc = xrand.NewProb(0.6) // a compute instruction has a second source
+	pHalf      = xrand.NewProb(0.5)
+)
+
+var _ trace.Filler = (*Benchmark)(nil)
+
+// writers holds one register class's recent writers, newest first, as the
+// window buf[head:head+n]. Each is stored twice, regRing apart, so the
+// window is contiguous wherever head stands and a write moves nothing.
+type writers struct {
+	buf     [2 * regRing]isa.Reg
+	head, n int
+}
+
+// push records r as the newest writer, dropping the oldest from a full
+// window.
+func (w *writers) push(r isa.Reg) {
+	if w.head == 0 {
+		w.head = regRing
+	}
+	w.head--
+	w.buf[w.head], w.buf[w.head+regRing] = r, r
+	if w.n < regRing {
+		w.n++
+	}
+}
+
+// recent returns the writers, newest first.
+func (w *writers) recent() []isa.Reg { return w.buf[w.head : w.head+w.n] }
 
 // New builds the generator for a named SPEC2000 benchmark.
 func New(name string) (*Benchmark, error) {
@@ -111,7 +144,8 @@ func NewFromProfile(p Profile) (*Benchmark, error) {
 	return b, nil
 }
 
-// derive computes the per-profile constants Next draws with.
+// derive computes the per-profile constants Next draws with. The profile is
+// valid, so every probability lies in [0, 1].
 func (b *Benchmark) derive() {
 	p := &b.prof
 	// Profile fractions are of all instructions; body slots exclude the
@@ -119,12 +153,15 @@ func (b *Benchmark) derive() {
 	bodyLoad := p.LoadFrac / (1 - p.BranchFrac)
 	bodyStore := p.StoreFrac / (1 - p.BranchFrac)
 	cs := computeScale(p)
-	b.bodyW = [7]float64{bodyLoad, bodyStore,
+	b.bodyW = xrand.NewWeights([]float64{bodyLoad, bodyStore,
 		p.IntALUW * cs, p.IntMulW * cs,
-		p.FPAddW * cs, p.FPMulW * cs, p.FPDivW * cs}
-	b.patW = [4]float64{p.PatStream, p.PatStride, p.PatHot, p.PatChase}
-	b.pDep = 1 / p.MeanDepDist
-	b.pChain = 1 / float64(p.ChaseChainLen)
+		p.FPAddW * cs, p.FPMulW * cs, p.FPDivW * cs})
+	b.patW = xrand.NewWeights([]float64{p.PatStream, p.PatStride, p.PatHot, p.PatChase})
+	b.pDep = xrand.NewProb(1 / p.MeanDepDist)
+	b.pChain = xrand.NewProb(1 / float64(p.ChaseChainLen))
+	b.pLoadFP = xrand.NewProb(p.LoadFPFrac)
+	b.pBias = xrand.NewProb(p.BrBias)
+	b.pNoise = xrand.NewProb(p.DataDepNoise)
 	b.hotZ = xrand.NewZipf(int(p.HotBytes/8), 0.9)
 	b.fp = fingerprint(p)
 }
@@ -194,12 +231,12 @@ func (b *Benchmark) Reset() {
 	for i, blk := range b.blocks {
 		b.iterLeft[i] = blk.period
 	}
-	b.recentInt = b.recentInt[:0]
-	b.recentFP = b.recentFP[:0]
-	// Seed the rings so early instructions have producers to consume.
-	for i := 0; i < 8; i++ {
-		b.recentInt = append(b.recentInt, isa.IntReg(i+1))
-		b.recentFP = append(b.recentFP, isa.FPReg(i+1))
+	// Seed the rings so early instructions have producers to consume:
+	// r1 and f1 newest, r8 and f8 oldest.
+	b.recentInt, b.recentFP = writers{}, writers{}
+	for i := seededRing; i > 0; i-- {
+		b.recentInt.push(isa.IntReg(i))
+		b.recentFP.push(isa.FPReg(i))
 	}
 	b.nextInt, b.nextFP = 9, 9
 	b.seqAddr = dataBase
@@ -213,36 +250,27 @@ func (b *Benchmark) Reset() {
 // Emitted returns the number of instructions produced since the last Reset.
 func (b *Benchmark) Emitted() uint64 { return b.emitted }
 
-// noteWriter records a new register writer, newest first.
+// noteWriter records a new register writer.
 func (b *Benchmark) noteWriter(r isa.Reg) {
 	if r.IsFP() {
-		b.recentFP = pushRecent(b.recentFP, r)
+		b.recentFP.push(r)
 	} else {
-		b.recentInt = pushRecent(b.recentInt, r)
+		b.recentInt.push(r)
 	}
-}
-
-func pushRecent(ring []isa.Reg, r isa.Reg) []isa.Reg {
-	if len(ring) < regRing {
-		ring = append(ring, 0)
-	}
-	copy(ring[1:], ring)
-	ring[0] = r
-	return ring
 }
 
 // pickSrc selects a source register at a geometric dependence distance from
 // the most recent writers of the class.
 func (b *Benchmark) pickSrc(fp bool) isa.Reg {
-	ring := b.recentInt
+	w := &b.recentInt
 	if fp {
-		ring = b.recentFP
+		w = &b.recentFP
 	}
-	d := b.rng.Geometric(b.pDep)
-	if d > len(ring) {
-		d = len(ring)
+	d := b.rng.GeometricProb(b.pDep)
+	if d > w.n {
+		d = w.n
 	}
-	return ring[d-1]
+	return w.buf[w.head+d-1]
 }
 
 // allocDest returns a fresh destination register for the class, rotating
@@ -267,7 +295,7 @@ func (b *Benchmark) allocDest(fp bool) isa.Reg {
 // loadAddr picks the next load address and the address-base register
 // according to the profile's pattern mixture.
 func (b *Benchmark) loadAddr() (addr uint64, base isa.Reg, chase bool) {
-	pat := b.rng.Pick(b.patW[:])
+	pat := b.patW.Pick(b.rng)
 	switch pat {
 	case 0: // streaming
 		b.seqAddr += 8
@@ -296,22 +324,12 @@ func (b *Benchmark) loadAddr() (addr uint64, base isa.Reg, chase bool) {
 			// New traversal: the head pointer (a global, an array
 			// slot indexed by an induction variable) is ready early,
 			// so separate chains can overlap.
-			b.chaseLeft = b.rng.Geometric(b.pChain)
+			b.chaseLeft = b.rng.GeometricProb(b.pChain)
 			return addr, baseReg, true
 		}
 		b.chaseLeft--
 		return addr, b.chaseReg, true
 	}
-}
-
-// pickFarIntSrc returns an old integer writer: address bases (array base
-// pointers, loop induction variables) are typically long-ready values.
-func (b *Benchmark) pickFarIntSrc() isa.Reg {
-	d := len(b.recentInt)/2 + b.rng.Intn(len(b.recentInt)/2+1)
-	if d >= len(b.recentInt) {
-		d = len(b.recentInt) - 1
-	}
-	return b.recentInt[d]
 }
 
 // Next produces the next correct-path instruction.
@@ -330,14 +348,21 @@ func (b *Benchmark) Next() isa.Instr {
 	return in
 }
 
+// Fill writes the next len(buf) instructions into buf, as len(buf) Next
+// calls would return them.
+func (b *Benchmark) Fill(buf []isa.Instr) {
+	for i := range buf {
+		buf[i] = b.Next()
+	}
+}
+
 // body generates one non-branch instruction at the given PC.
 func (b *Benchmark) body(pc uint64) isa.Instr {
-	p := &b.prof
-	kind := b.rng.Pick(b.bodyW[:])
+	kind := b.bodyW.Pick(b.rng)
 	switch kind {
 	case 0: // load
 		addr, base, chase := b.loadAddr()
-		fp := !chase && b.rng.Bool(p.LoadFPFrac)
+		fp := !chase && b.rng.Hit(b.pLoadFP)
 		dest := b.allocDest(fp)
 		in := isa.Instr{PC: pc, Op: isa.Load, Dest: dest, Src1: base, Src2: isa.RegNone, Addr: addr, ChainLoad: chase}
 		if chase {
@@ -348,7 +373,7 @@ func (b *Benchmark) body(pc uint64) isa.Instr {
 		return in
 	case 1: // store
 		addr, base, _ := b.storeAddr()
-		dataFP := b.rng.Bool(p.LoadFPFrac)
+		dataFP := b.rng.Hit(b.pLoadFP)
 		data := b.pickSrc(dataFP)
 		return isa.Instr{PC: pc, Op: isa.Store, Dest: isa.RegNone, Src1: data, Src2: base, Addr: addr}
 	case 2, 3: // integer compute
@@ -388,7 +413,7 @@ func computeScale(p *Profile) float64 {
 // matching the one- and two-operand mix of real code (this matters for LLRF
 // sizing: single-source instructions never allocate an LLRF register).
 func (b *Benchmark) maybeSecondSrc(fp bool) isa.Reg {
-	if b.rng.Bool(0.6) {
+	if b.rng.Hit(pSecondSrc) {
 		return b.pickSrc(fp)
 	}
 	return isa.RegNone
@@ -396,7 +421,7 @@ func (b *Benchmark) maybeSecondSrc(fp bool) isa.Reg {
 
 // storeAddr picks a store address; stores reuse the stream and hot patterns.
 func (b *Benchmark) storeAddr() (addr uint64, base isa.Reg, chase bool) {
-	if b.rng.Bool(0.5) {
+	if b.rng.Hit(pHalf) {
 		b.seqAddr += 8
 		if b.seqAddr >= dataBase+b.prof.FootprintBytes {
 			b.seqAddr = dataBase
@@ -414,7 +439,7 @@ func (b *Benchmark) branch(blk *block, pc uint64) isa.Instr {
 	switch blk.kind {
 	case brBiased:
 		taken = blk.majority
-		if !b.rng.Bool(b.prof.BrBias) {
+		if !b.rng.Hit(b.pBias) {
 			taken = !taken
 		}
 	case brLoop:
@@ -432,8 +457,8 @@ func (b *Benchmark) branch(blk *block, pc uint64) isa.Instr {
 		// most recent load destination, so when that load missed to
 		// memory the branch resolves only after the miss returns.
 		src = b.lastLoadDest
-		if b.rng.Bool(b.prof.DataDepNoise) {
-			taken = b.rng.Bool(0.5)
+		if b.rng.Hit(b.pNoise) {
+			taken = b.rng.Hit(pHalf)
 		} else {
 			taken = blk.majority
 		}

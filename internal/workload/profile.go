@@ -17,6 +17,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sort"
 )
 
@@ -96,10 +98,21 @@ type Profile struct {
 	Seed uint64
 }
 
-// Validate reports an error for out-of-range parameters.
+// Validate reports an error for out-of-range parameters. Every float field
+// is a fraction, a weight, a probability or a mean distance, so each must
+// first be finite and not negative; the range checks after that one never
+// see a NaN, which would pass them.
 func (p *Profile) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("workload: profile with empty name")
+	}
+	v := reflect.ValueOf(p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 {
+			if x := f.Float(); !(x >= 0 && x <= math.MaxFloat64) {
+				return fmt.Errorf("workload: %s: %s %v is not a finite number >= 0", p.Name, v.Type().Field(i).Name, x)
+			}
+		}
 	}
 	frac := p.LoadFrac + p.StoreFrac + p.BranchFrac
 	if frac <= 0 || frac >= 1 {
@@ -111,6 +124,9 @@ func (p *Profile) Validate() error {
 	if p.PatStream+p.PatStride+p.PatHot+p.PatChase <= 0 {
 		return fmt.Errorf("workload: %s: no load pattern weight", p.Name)
 	}
+	if p.BrBiased+p.BrLoop+p.BrDataDep <= 0 {
+		return fmt.Errorf("workload: %s: no branch kind weight", p.Name)
+	}
 	if p.FootprintBytes < 4096 {
 		return fmt.Errorf("workload: %s: footprint %d too small", p.Name, p.FootprintBytes)
 	}
@@ -120,14 +136,23 @@ func (p *Profile) Validate() error {
 	if p.ChaseChainLen < 1 {
 		return fmt.Errorf("workload: %s: chase chain length %d < 1", p.Name, p.ChaseChainLen)
 	}
+	if p.LoopPeriodMean < 1 {
+		return fmt.Errorf("workload: %s: mean loop trip count %d < 1", p.Name, p.LoopPeriodMean)
+	}
 	if p.NumBlocks < 2 {
 		return fmt.Errorf("workload: %s: degenerate code layout", p.Name)
+	}
+	if p.BranchFrac <= 0 {
+		return fmt.Errorf("workload: %s: no branches", p.Name)
 	}
 	if p.BranchFrac > 0.34 {
 		return fmt.Errorf("workload: %s: branch fraction %.2f implies blocks shorter than 3", p.Name, p.BranchFrac)
 	}
 	if p.BrBias < 0.5 || p.BrBias > 1 {
 		return fmt.Errorf("workload: %s: branch bias %.2f out of [0.5,1]", p.Name, p.BrBias)
+	}
+	if p.LoadFPFrac > 1 || p.DataDepNoise > 1 {
+		return fmt.Errorf("workload: %s: FP load fraction %.2f or data-dependent noise %.2f above 1", p.Name, p.LoadFPFrac, p.DataDepNoise)
 	}
 	return nil
 }

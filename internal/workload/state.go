@@ -63,7 +63,7 @@ func fingerprint(p *Profile) uint64 {
 // reads or writes. A generator of the same profile loaded with it emits
 // the same instructions from there on as this one.
 func (b *Benchmark) SaveState() ([]byte, error) {
-	out := make([]byte, 0, stateFixed+2+len(b.recentInt)+len(b.recentFP)+4+4*len(b.iterLeft))
+	out := make([]byte, 0, stateFixed+2+b.recentInt.n+b.recentFP.n+4+4*len(b.iterLeft))
 	le := binary.LittleEndian
 	out = le.AppendUint64(out, b.fp)
 	for _, w := range b.rng.State() {
@@ -78,7 +78,7 @@ func (b *Benchmark) SaveState() ([]byte, error) {
 	out = le.AppendUint32(out, uint32(b.chaseLeft))
 	out = append(out, byte(b.lastLoadDest))
 	out = le.AppendUint64(out, b.emitted)
-	for _, ring := range [2][]isa.Reg{b.recentInt, b.recentFP} {
+	for _, ring := range [2][]isa.Reg{b.recentInt.recent(), b.recentFP.recent()} {
 		out = append(out, byte(len(ring)))
 		for _, r := range ring {
 			out = append(out, byte(r))
@@ -154,8 +154,8 @@ func (b *Benchmark) LoadState(data []byte) error {
 	for i := range b.iterLeft {
 		b.iterLeft[i] = int(binary.LittleEndian.Uint32(iter[4*i:]))
 	}
-	b.recentInt = appendRegs(b.recentInt[:0], ringInt)
-	b.recentFP = appendRegs(b.recentFP[:0], ringFP)
+	b.recentInt.load(ringInt)
+	b.recentFP.load(ringFP)
 	b.nextInt, b.nextFP = nextInt, nextFP
 	b.seqAddr, b.strideAddr = seqAddr, strideAddr
 	b.chaseReg, b.chaseLeft, b.lastLoadDest = chaseReg, int(chaseLeft), lastLoadDest
@@ -185,11 +185,12 @@ func validRing(raw []byte, fp bool) bool {
 	return true
 }
 
-func appendRegs(ring []isa.Reg, raw []byte) []isa.Reg {
-	for _, r := range raw {
-		ring = append(ring, isa.Reg(r))
+// load replaces the writers with raw, newest first.
+func (w *writers) load(raw []byte) {
+	*w = writers{}
+	for i := len(raw) - 1; i >= 0; i-- {
+		w.push(isa.Reg(raw[i]))
 	}
-	return ring
 }
 
 // stateReader reads a snapshot front to back. The first short read sets
