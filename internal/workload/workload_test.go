@@ -203,8 +203,12 @@ func TestRegularBasesAlwaysReady(t *testing.T) {
 	}
 }
 
+// TestProfileValidationErrors checks that NewFromProfile refuses each
+// profile with one field out of range, and panics on none, among them
+// those whose draws would hang, panic or run to the Geometric cap.
 func TestProfileValidationErrors(t *testing.T) {
 	good, _ := Lookup("swim")
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []func(*Profile){
 		func(p *Profile) { p.Name = "" },
 		func(p *Profile) { p.LoadFrac = 0.95 },
@@ -216,13 +220,40 @@ func TestProfileValidationErrors(t *testing.T) {
 		func(p *Profile) { p.NumBlocks = 1 },
 		func(p *Profile) { p.BranchFrac = 0.5 },
 		func(p *Profile) { p.BrBias = 0.3 },
+		func(p *Profile) { p.MeanDepDist = nan },
+		func(p *Profile) { p.MeanDepDist = inf },
+		func(p *Profile) { p.LoadFrac = nan },
+		func(p *Profile) { p.StoreFrac = -0.1 },
+		func(p *Profile) { p.BranchFrac = 0 },
+		func(p *Profile) { p.BranchFrac = nan },
+		func(p *Profile) { p.BrBias = nan },
+		func(p *Profile) { p.BrBias = 1.5 },
+		func(p *Profile) { p.IntMulW = -1 },
+		func(p *Profile) { p.FPDivW = inf },
+		func(p *Profile) { p.PatHot = -0.5 },
+		func(p *Profile) { p.PatChase = nan },
+		func(p *Profile) { p.BrLoop = -1 },
+		func(p *Profile) { p.BrBiased, p.BrLoop, p.BrDataDep = 0, 0, 0 },
+		func(p *Profile) { p.LoadFPFrac = 1.5 },
+		func(p *Profile) { p.LoadFPFrac = nan },
+		func(p *Profile) { p.DataDepNoise = 2 },
+		func(p *Profile) { p.DataDepNoise = -0.1 },
+		func(p *Profile) { p.LoopPeriodMean = 0 },
+		func(p *Profile) { p.LoopPeriodMean = -3 },
 	}
 	for i, mod := range cases {
 		p := good
 		mod(&p)
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
-		}
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Errorf("case %d: NewFromProfile panicked: %v", i, v)
+				}
+			}()
+			if _, err := NewFromProfile(p); err == nil {
+				t.Errorf("case %d: expected validation error", i)
+			}
+		}()
 	}
 }
 
@@ -231,51 +262,5 @@ func TestNewFromProfileRejectsInvalid(t *testing.T) {
 	p.ChaseChainLen = 0
 	if _, err := NewFromProfile(p); err == nil {
 		t.Error("invalid profile accepted")
-	}
-}
-
-// TestDegenerateProfilesRefused checks that NewFromProfile refuses every
-// profile whose draws would hang, panic or run to the Geometric cap, and
-// panics on none of them. Each case breaks one field of gcc's profile.
-func TestDegenerateProfilesRefused(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, c := range []struct {
-		name  string
-		spoil func(*Profile)
-	}{
-		{"MeanDepDist NaN", func(p *Profile) { p.MeanDepDist = nan }},
-		{"MeanDepDist +Inf", func(p *Profile) { p.MeanDepDist = inf }},
-		{"MeanDepDist 0.5", func(p *Profile) { p.MeanDepDist = 0.5 }},
-		{"LoadFrac NaN", func(p *Profile) { p.LoadFrac = nan }},
-		{"StoreFrac -0.1", func(p *Profile) { p.StoreFrac = -0.1 }},
-		{"BranchFrac 0", func(p *Profile) { p.BranchFrac = 0 }},
-		{"BranchFrac NaN", func(p *Profile) { p.BranchFrac = nan }},
-		{"BrBias NaN", func(p *Profile) { p.BrBias = nan }},
-		{"BrBias 1.5", func(p *Profile) { p.BrBias = 1.5 }},
-		{"IntMulW -1", func(p *Profile) { p.IntMulW = -1 }},
-		{"FPDivW +Inf", func(p *Profile) { p.FPDivW = inf }},
-		{"PatHot -0.5", func(p *Profile) { p.PatHot = -0.5 }},
-		{"PatChase NaN", func(p *Profile) { p.PatChase = nan }},
-		{"BrLoop -1", func(p *Profile) { p.BrLoop = -1 }},
-		{"no branch kind", func(p *Profile) { p.BrBiased, p.BrLoop, p.BrDataDep = 0, 0, 0 }},
-		{"LoadFPFrac 1.5", func(p *Profile) { p.LoadFPFrac = 1.5 }},
-		{"LoadFPFrac NaN", func(p *Profile) { p.LoadFPFrac = nan }},
-		{"DataDepNoise 2", func(p *Profile) { p.DataDepNoise = 2 }},
-		{"DataDepNoise -0.1", func(p *Profile) { p.DataDepNoise = -0.1 }},
-		{"LoopPeriodMean 0", func(p *Profile) { p.LoopPeriodMean = 0 }},
-		{"LoopPeriodMean -3", func(p *Profile) { p.LoopPeriodMean = -3 }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			p, _ := Lookup("gcc")
-			c.spoil(&p)
-			defer func() {
-				if v := recover(); v != nil {
-					t.Errorf("NewFromProfile panicked: %v", v)
-				}
-			}()
-			if _, err := NewFromProfile(p); err == nil {
-				t.Error("NewFromProfile accepted the profile")
-			}
-		})
 	}
 }
