@@ -368,16 +368,19 @@ func sampledSweep() [2][]sim.RunSpec {
 // BenchmarkSampledSweep runs the sampled sweep (sampledSweep) once per
 // iteration, over a fresh checkpoint store and through a one-worker Runner.
 // The Runner lends each sampled run's detailed intervals a CPU when
-// GOMAXPROCS leaves one spare, so that the interval runs beside the
-// functional walk to the next interval start;
+// GOMAXPROCS leaves one spare, so that an interval runs beside the
+// functional walk to the next interval start, and the reusing batch's
+// intervals, all checkpoint hits, run beside one another;
 //
 //	go test -run xxx -bench SampledSweep -cpu 1,2 .
 //
-// compares the overlapped schedule with the inline one. cpu-s/op is the
-// process's CPU time (user plus system) per sweep, where the platform
-// reports it.
+// compares the overlapped schedule with the inline one. first-s/op and
+// reusing-s/op split the wall time per sweep between the two batches, and
+// cpu-s/op is the process's CPU time (user plus system) per sweep, where
+// the platform reports it.
 func BenchmarkSampledSweep(b *testing.B) {
 	batches := sampledSweep()
+	var wall [2]time.Duration
 	var cpu time.Duration
 	measured := true
 	b.ResetTimer()
@@ -390,15 +393,19 @@ func BenchmarkSampledSweep(b *testing.B) {
 		r := sim.NewRunner(sim.WithStore(store), sim.Parallel(1))
 		c0, ok0 := processCPU()
 		b.StartTimer()
-		for _, batch := range batches {
+		for j, batch := range batches {
+			start := time.Now()
 			if _, err := r.RunAll(batch); err != nil {
 				b.Fatal(err)
 			}
+			wall[j] += time.Since(start)
 		}
 		c1, ok1 := processCPU()
 		cpu += c1 - c0
 		measured = measured && ok0 && ok1
 	}
+	b.ReportMetric(wall[0].Seconds()/float64(b.N), "first-s/op")
+	b.ReportMetric(wall[1].Seconds()/float64(b.N), "reusing-s/op")
 	if measured {
 		b.ReportMetric(cpu.Seconds()/float64(b.N), "cpu-s/op")
 	}

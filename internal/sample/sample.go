@@ -26,7 +26,9 @@ type Engine interface {
 	RestoreArch(c *ckpt.Checkpoint) error
 	// Lookahead returns how many instructions past warmup+measure one Run
 	// call can pull from its generator; Run panics if it pulls more. The
-	// run's tape keeps a detailed interval's read-ahead up to this bound.
+	// run's tape keeps a detailed interval's read-ahead up to this bound,
+	// and a checkpoint hit fans out only when the bound leaves its reads
+	// inside the stride.
 	Lookahead() uint64
 }
 
@@ -34,14 +36,20 @@ type Engine interface {
 type Config struct {
 	// Bench names the workload, stamped into captured checkpoints.
 	Bench string
-	// NewEngine builds a fresh processor; called for the functional cursor
-	// (again after a checkpoint hit drops it) and once per detailed
-	// interval.
+	// NewEngine builds a fresh processor: the functional cursor (again
+	// after a checkpoint hit drops it) and each detailed interval's engine.
+	// A detailed interval builds its own, on the helper goroutine that runs
+	// it when a CPU was lent for it, so NewEngine may run at the same time
+	// as Run's other calls.
 	NewEngine func() Engine
-	// NewGen builds a fresh generator positioned at stream start. Run calls
-	// it once: that generator produces every instruction the run reads.
+	// NewGen builds a fresh generator positioned at stream start, sharing
+	// no state with any other it built. Run calls it from its own
+	// goroutine: once for the walk, whose generator produces every
+	// instruction the run reads through its tape, and once more for each
+	// checkpoint hit that reads from a generator of its own (see Run).
 	// When it also has SaveState and LoadState, as workload.Benchmark
-	// does, checkpoints carry its state and hits resume the stream from it.
+	// does, checkpoints carry its state and hits resume the stream from
+	// it.
 	NewGen func() trace.Generator
 	// WarmRanges is the workload's footprint, walked through the cursor's
 	// caches before functional warming — the same pre-warm a full run gets.
@@ -56,17 +64,22 @@ type Config struct {
 	// any remaining zero fields with an unknown window.
 	Plan Plan
 	// Load fetches a previously stored checkpoint for a stream position,
-	// or nil. A checkpoint of any other position counts as a miss.
-	// Optional.
+	// or nil. A checkpoint of any other position counts as a miss. Run
+	// calls it from its own goroutine, once per interval start, in stream
+	// order. Optional.
 	Load func(pos uint64) *ckpt.Checkpoint
-	// Store persists a freshly captured checkpoint. Optional.
+	// Store persists a freshly captured checkpoint. The interval that
+	// starts at the checkpoint calls it, so it runs on that interval's
+	// helper goroutine when a CPU was lent, at the same time as the walk's
+	// Load of a later position; Store calls still follow stream order.
+	// Optional.
 	Store func(c *ckpt.Checkpoint)
 	// LendCPU asks for a CPU on which a detailed interval can run beside
-	// the walk to the next interval start. It returns the function that
-	// gives the CPU back, which Run calls once it has joined the interval,
-	// or nil when no CPU is spare; the interval then runs inline, in the
-	// order a run without LendCPU uses. Run calls it from its own goroutine,
-	// once per interval. Optional.
+	// the walk and the other intervals in flight. It returns the function
+	// that gives the CPU back, which the interval's helper goroutine calls
+	// as it ends, or nil when no CPU is spare; the interval then runs
+	// inline, in the order a run without LendCPU uses. Run calls it from
+	// its own goroutine, once per interval, in interval order. Optional.
 	LendCPU func() (giveBack func())
 }
 
@@ -118,27 +131,45 @@ func (s *Summary) Reduction() float64 {
 // reloaded) at each interval start, and a fresh engine measures each
 // interval in detail from the checkpointed state. The stream is walked once:
 // one generator serves the cursor, the moves past reloaded intervals and
-// the detailed reads (see tape). When the generator NewGen returns can save
-// and load its state (SaveState and LoadState, as workload.Benchmark), each
-// captured checkpoint carries that state, and a reloaded one resumes the
-// stream from it rather than regenerating the stream up to its position.
-// Either way every instruction an engine sees is the one a plain walk would
-// give it. The aggregate Stats sum the measured intervals, so downstream
-// consumers (tables, CSV, JSON) read them exactly like full-run stats.
+// the detailed reads (see tape), apart from the checkpoint hits that fan
+// out (below), which read generators of their own. When the generator
+// NewGen returns can save and load its state (SaveState and LoadState, as
+// workload.Benchmark), each captured checkpoint carries that state, and a
+// reloaded one resumes the stream from it rather than regenerating the
+// stream up to its position. Either way every instruction an engine sees
+// is the one a plain walk would give it. The aggregate Stats sum the
+// measured intervals, so downstream consumers (tables, CSV, JSON) read
+// them exactly like full-run stats.
 //
-// The walk and the detailed intervals read no state of each other's, so
-// when LendCPU grants a CPU, interval i runs on a helper goroutine as soon
-// as checkpoint i exists, while the calling goroutine walks on toward
-// checkpoint i+1. At most one interval is in flight: Run joins it before it
-// dispatches the next, seeks to a checkpoint hit or stores a checkpoint,
-// so hits stay serial, only the cursor and one detailed engine are alive at
-// a time, and statistics, per-interval CPIs, IO and Store calls follow
-// interval order. Results, stored checkpoints and IO are therefore the same
-// whether or not a CPU was lent. A panic in an interval reaches Run's caller
-// with the same value, ahead of any later failure of the walk, and no
-// goroutine Run starts outlives it.
-func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
-	var io IO
+// The walk and the detailed intervals read no state of each other's. The
+// walk only captures (or loads) checkpoint i and hands it over: interval i
+// then stores it when it was captured, builds its engine, restores the
+// checkpoint into it and runs. When LendCPU grants a CPU, the interval does
+// all of that on a helper goroutine while the calling goroutine walks on
+// toward checkpoint i+1. An interval that reads the walk's tape is joined
+// before the next interval is dispatched, so one reader of the tape is
+// live at a time and Store calls follow interval order.
+//
+// A checkpoint hit fans out when its stream needs nothing from the walk:
+// the generator has state methods, its checkpoint carries generator state,
+// the next interval start, if there is one, is a hit whose checkpoint
+// carries state too, and the interval's span (detailed warmup and interval
+// plus the engine's Lookahead) fits in the stride between starts. Such an
+// interval reads from a generator of its own (NewGen, loaded with its
+// checkpoint's state), which no other interval's reads overlap, and the
+// walk does not pass its positions, so no stream position is generated
+// twice. It does not wait for the fanned-out intervals in flight: each
+// lent CPU runs one, and when none is lent the caller, which has no walk
+// to do, runs it inline, so at most one more fanned-out interval than the
+// CPUs lent runs at once, each holding one engine. Every other interval
+// reads the tape.
+//
+// Statistics, per-interval CPIs and IO fold in interval order, so results,
+// stored checkpoints and IO are the same whether or not CPUs were lent. The
+// first failure in interval order is the one Run's caller sees: a panic of
+// an interval or of the walk with its own value, or an error restoring a
+// checkpoint. No goroutine Run starts outlives it.
+func Run(c Config) (st *pipeline.Stats, sum *Summary, io IO, err error) {
 	plan := c.Plan.Complete(c.Warmup, c.Measure, 0)
 	if err := plan.Validate(c.Measure); err != nil {
 		return nil, nil, io, err
@@ -159,51 +190,94 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		walk   = newTape(c.NewGen())
 		cursor Engine
 		lastCk *ckpt.Checkpoint
-		// flight is the detailed interval dispatched last and not yet
-		// folded into the aggregate.
-		flight *interval
+		// span is how far one interval reads from its start, taken from
+		// the run's first engine: every engine NewEngine returns has the
+		// same geometry, so the same Lookahead.
+		span uint64
+		// next is the checkpoint at the next interval start, once Run has
+		// looked it up to decide how a hit reads (looked).
+		next   *ckpt.Checkpoint
+		looked bool
+		fl     = flights{cpis: make([]float64, 0, plan.Intervals)}
 	)
-	agg := &pipeline.Stats{}
-	cpis := make([]float64, 0, plan.Intervals)
-	// join waits for the interval in flight, re-raises its panic, and folds
-	// its statistics.
-	join := func() {
-		if iv := flight; iv != nil {
-			flight = nil
-			st := iv.wait()
-			accumulate(agg, st)
-			cpis = append(cpis, float64(st.Cycles)/float64(st.Committed))
-		}
-	}
-	// A panic of the walk joins the interval in flight: no goroutine
-	// outlives Run, and in interval order the interval came first, so its
-	// panic, if any, is the one raised.
+	// Run may be unwinding a panic of the walk or of an interval it ran
+	// inline while other intervals are in flight: it waits for them, and
+	// the failure of one that comes first in interval order replaces the
+	// panic.
 	defer func() {
-		if flight != nil {
-			flight.wait()
+		for _, iv := range fl.drain() {
+			if iv.failure != nil {
+				panic(iv.failure)
+			}
+			if iv.err != nil {
+				recover()
+				st, sum, err = nil, nil, iv.err
+				return
+			}
 		}
 	}()
 	fail := func(err error) (*pipeline.Stats, *Summary, IO, error) {
-		join()
+		if jerr := fl.join(); jerr != nil {
+			err = jerr
+		}
 		return nil, nil, io, err
 	}
-	for i, pos := range starts {
-		var ck *ckpt.Checkpoint
-		if c.Load != nil {
-			// A checkpoint of another position cannot seat the walk.
-			if ck = c.Load(pos); ck != nil && ck.Pos != pos {
-				ck = nil
-			}
+	// settle joins the intervals in flight when the last one reads the
+	// tape, before the walk seeks, a new reader starts or the next
+	// interval is dispatched.
+	settle := func() error {
+		if fl.tape {
+			return fl.join()
 		}
+		return nil
+	}
+	load := func(pos uint64) *ckpt.Checkpoint {
+		if c.Load == nil {
+			return nil
+		}
+		// A checkpoint of another position cannot seat the walk.
+		if ck := c.Load(pos); ck != nil && ck.Pos == pos {
+			return ck
+		}
+		return nil
+	}
+	resumes := func(ck *ckpt.Checkpoint) bool {
+		return ck != nil && ck.Gen != nil && walk.state != nil
+	}
+	for i, pos := range starts {
+		ck := next
+		if !looked {
+			ck = load(pos)
+		}
+		next, looked = nil, false
+		iv := &interval{c: &c, warmup: plan.Warmup, measure: plan.Interval}
 		if ck != nil {
 			io.Hits++
 			cursor = nil
-			join()
-			walk.seek(pos, ck.Gen)
+			if span == 0 {
+				iv.eng = c.NewEngine()
+				span = plan.Warmup + plan.Interval + iv.eng.Lookahead()
+			}
+			fans := resumes(ck) && span <= stride
+			if fans && i+1 < len(starts) {
+				next, looked = load(starts[i+1]), true
+				fans = resumes(next)
+			}
+			if err := settle(); err != nil {
+				return fail(err)
+			}
+			if fans {
+				iv.own = newTape(c.NewGen())
+			} else {
+				walk.seek(pos, ck.Gen)
+			}
 		} else {
 			io.Misses++
 			if cursor == nil {
 				cursor = c.NewEngine()
+				if span == 0 {
+					span = plan.Warmup + plan.Interval + cursor.Lookahead()
+				}
 				if lastCk != nil {
 					if err := cursor.RestoreArch(lastCk); err != nil {
 						return fail(err)
@@ -218,29 +292,27 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 				return fail(err)
 			}
 			ck.Gen = walk.genState()
-			join()
-			if c.Store != nil {
-				c.Store(ck)
+			iv.store = c.Store != nil
+			if iv.store {
 				io.Writes++
+			}
+			if err := settle(); err != nil {
+				return fail(err)
 			}
 		}
 		lastCk = ck
-
-		eng := c.NewEngine()
-		if err := eng.RestoreArch(ck); err != nil {
-			return nil, nil, io, err
+		iv.ck = ck
+		if iv.own == nil {
+			iv.r = walk.read(starts[i+1:], span)
 		}
-		r := walk.read(starts[i+1:], plan.Warmup+plan.Interval+eng.Lookahead())
-		flight = &interval{eng: eng, r: r, warmup: plan.Warmup, measure: plan.Interval}
-		if c.LendCPU != nil {
-			flight.giveBack = c.LendCPU()
-		}
-		flight.start()
+		fl.dispatch(iv, c.LendCPU)
 	}
-	join()
+	if err := fl.join(); err != nil {
+		return nil, nil, io, err
+	}
 
-	mean, sd := meanStdDev(cpis)
-	sum := &Summary{
+	mean, sd := meanStdDev(fl.cpis)
+	sum = &Summary{
 		Intervals:      plan.Intervals,
 		Interval:       plan.Interval,
 		Warmup:         plan.Warmup,
@@ -250,28 +322,41 @@ func Run(c Config) (*pipeline.Stats, *Summary, IO, error) {
 		CPIStdDev:      sd,
 		CPICI95:        tCritical95(plan.Intervals-1) * sd / math.Sqrt(float64(plan.Intervals)),
 	}
-	return agg, sum, io, nil
+	return &fl.agg, sum, io, nil
 }
 
 // intervalStopped is the value Run raises when a detailed interval ended
 // its goroutine with runtime.Goexit rather than returning or panicking.
 const intervalStopped = "sample: a detailed interval exited its goroutine (runtime.Goexit)"
 
-// interval is one detailed interval's run of its engine over its reader:
-// on a helper goroutine when a CPU was lent for it, else inline.
+// interval is one detailed interval: its set-up and its engine's run over
+// its stream, on a helper goroutine when a CPU was lent for it, else
+// inline.
 type interval struct {
-	eng             Engine
+	c  *Config
+	ck *ckpt.Checkpoint
+	// store is set when the walk captured ck and the interval stores it.
+	store bool
+	// eng is the engine Run built to learn Lookahead, when it built the
+	// run's first engine for this interval; otherwise the interval builds
+	// its own.
+	eng Engine
+	// The interval reads the walk's tape through r, or, when it fans out,
+	// a tape of its own, seated at its checkpoint.
 	r               *reader
+	own             *tape
 	warmup, measure uint64
 	// giveBack returns the lent CPU; nil when the interval runs inline.
 	giveBack func()
 	done     chan struct{}
 	st       *pipeline.Stats
-	failure  any // what ended the helper goroutine, if not the interval's end
+	err      error // restoring the checkpoint failed
+	failure  any   // what ended the helper goroutine, if not the interval's end
 }
 
 // start runs the interval: inline, where a panic propagates at once, or on
-// a helper goroutine, which records its panic for wait.
+// a helper goroutine, which records its panic for Run and gives the CPU
+// back as it ends.
 func (iv *interval) start() {
 	if iv.giveBack == nil {
 		iv.run()
@@ -286,6 +371,7 @@ func (iv *interval) start() {
 					iv.failure = intervalStopped
 				}
 			}
+			iv.giveBack()
 			close(iv.done)
 		}()
 		iv.run()
@@ -293,25 +379,77 @@ func (iv *interval) start() {
 	}()
 }
 
-// run simulates the interval, then closes its reader and drops its engine,
-// which can be collected while the walk goes on.
+// run sets the interval up and simulates it, then drops its engine and its
+// stream, which can be collected while the run goes on.
 func (iv *interval) run() {
-	iv.st = iv.eng.Run(iv.r, iv.warmup, iv.measure)
-	iv.r.close()
-	iv.eng, iv.r = nil, nil
+	if iv.store {
+		iv.c.Store(iv.ck)
+	}
+	eng := iv.eng
+	if eng == nil {
+		eng = iv.c.NewEngine()
+	}
+	if iv.err = eng.RestoreArch(iv.ck); iv.err == nil {
+		var g trace.Generator = iv.r
+		if iv.own != nil {
+			iv.own.seek(iv.ck.Pos, iv.ck.Gen)
+			g = iv.own
+		}
+		iv.st = eng.Run(g, iv.warmup, iv.measure)
+	}
+	if iv.r != nil {
+		iv.r.close()
+	}
+	iv.eng, iv.r, iv.own = nil, nil, nil
 }
 
-// wait joins the interval, gives its CPU back, and returns its statistics,
-// re-raising its panic.
-func (iv *interval) wait() *pipeline.Stats {
-	if iv.done != nil {
-		<-iv.done
-		iv.giveBack()
+// flights are the detailed intervals Run has dispatched and not yet
+// joined, in interval order, and the statistics of those it has joined.
+type flights struct {
+	q    []*interval
+	tape bool // the last interval dispatched reads the walk's tape
+	agg  pipeline.Stats
+	cpis []float64
+}
+
+// dispatch asks lend, when set, for a CPU and starts iv.
+func (f *flights) dispatch(iv *interval, lend func() func()) {
+	f.q = append(f.q, iv)
+	f.tape = iv.r != nil
+	if lend != nil {
+		iv.giveBack = lend()
 	}
-	if iv.failure != nil {
-		panic(iv.failure)
+	iv.start()
+}
+
+// drain waits for every interval in flight and returns them, in interval
+// order.
+func (f *flights) drain() []*interval {
+	q := f.q
+	f.q, f.tape = nil, false
+	for _, iv := range q {
+		if iv.done != nil {
+			<-iv.done
+		}
 	}
-	return iv.st
+	return q
+}
+
+// join waits for every interval in flight and folds their statistics in
+// interval order. The first of them that failed is reported instead: its
+// panic is raised again with the same value, or its error returned.
+func (f *flights) join() error {
+	for _, iv := range f.drain() {
+		if iv.failure != nil {
+			panic(iv.failure)
+		}
+		if iv.err != nil {
+			return iv.err
+		}
+		accumulate(&f.agg, iv.st)
+		f.cpis = append(f.cpis, float64(iv.st.Cycles)/float64(iv.st.Committed))
+	}
+	return nil
 }
 
 // accumulate folds one interval's stats into the aggregate: counters add,

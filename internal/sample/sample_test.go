@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,10 +34,9 @@ type streamLog struct {
 	newGens int
 
 	mu       sync.Mutex
-	calls    uint64 // Next calls on the run's generators
-	furthest uint64 // furthest stream position any engine consumed
-	starts   []uint64
-	ends     []uint64    // per detailed interval: start and furthest read
+	calls    uint64      // Next calls on the run's generators
+	furthest uint64      // furthest stream position any engine consumed
+	detailed [][2]uint64 // per detailed interval, as each ended: its start and furthest read
 	consumed [][2]uint64 // per engine call: the stream range it consumed
 	diverged bool        // a mismatch was reported; later ones follow from it
 	// refs holds reference-generator states by stream position, saved
@@ -145,8 +146,7 @@ func (e *checkedEngine) Run(g trace.Generator, warmup, measure uint64) *pipeline
 	st := e.Engine.Run(c, warmup, measure)
 	e.log.keepRef(e.pos, c.ref)
 	e.log.mu.Lock()
-	e.log.starts = append(e.log.starts, c.start)
-	e.log.ends = append(e.log.ends, e.pos)
+	e.log.detailed = append(e.log.detailed, [2]uint64{c.start, e.pos})
 	e.log.consumed = append(e.log.consumed, [2]uint64{c.start, e.pos})
 	e.log.mu.Unlock()
 	return st
@@ -196,8 +196,38 @@ func (g *checkedGen) Fill(buf []isa.Instr) {
 }
 
 // memStore is an in-memory checkpoint store holding encoded checkpoints, so
-// every Load decodes a fresh copy as the real stores do.
-type memStore map[uint64][]byte
+// every Load decodes a fresh copy as the real stores do. A Store runs on
+// the helper goroutine of the interval that starts at its checkpoint, at
+// the same time as the walk's Loads, so mu guards the map.
+type memStore struct {
+	mu   sync.Mutex
+	data map[uint64][]byte
+}
+
+func newMemStore() *memStore { return &memStore{data: map[uint64][]byte{}} }
+
+func (m *memStore) put(c *ckpt.Checkpoint) {
+	data := ckpt.Encode(c)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.data[c.Pos] = data
+}
+
+// load decodes the checkpoint stored at from, or returns nil. sample.Run
+// calls it from its own goroutine, the test's.
+func (m *memStore) load(t *testing.T, from uint64) *ckpt.Checkpoint {
+	m.mu.Lock()
+	data, ok := m.data[from]
+	m.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	c, err := ckpt.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // grant is a sample.Config.LendCPU that always lends a CPU.
 func grant() func() { return func() {} }
@@ -206,7 +236,7 @@ func grant() func() { return func() {} }
 // engines and a counted generator, which forwards the generator's state
 // methods when stateful is set. serve picks which stored checkpoint, if
 // any, a Load of pos returns. lend, when set, is the run's LendCPU.
-func runLogged(t *testing.T, spec sim.RunSpec, store memStore, serve func(pos uint64) (uint64, bool), stateful bool, lend func() func()) (*pipeline.Stats, *sample.Summary, sample.IO, *streamLog) {
+func runLogged(t *testing.T, spec sim.RunSpec, store *memStore, serve func(pos uint64) (uint64, bool), stateful bool, lend func() func()) (*pipeline.Stats, *sample.Summary, sample.IO, *streamLog) {
 	t.Helper()
 	log := &streamLog{t: t, bench: spec.Bench}
 	g := workload.MustNew(spec.Bench)
@@ -226,18 +256,12 @@ func runLogged(t *testing.T, spec sim.RunSpec, store memStore, serve func(pos ui
 		Measure:    spec.Measure,
 		Plan:       spec.SamplePlan(),
 		Load: func(pos uint64) *ckpt.Checkpoint {
-			from, ok := serve(pos)
-			data, stored := store[from]
-			if !ok || !stored {
-				return nil
+			if from, ok := serve(pos); ok {
+				return store.load(t, from)
 			}
-			c, err := ckpt.Decode(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
+			return nil
 		},
-		Store:   func(c *ckpt.Checkpoint) { store[c.Pos] = ckpt.Encode(c) },
+		Store:   store.put,
 		LendCPU: lend,
 	}
 	st, sum, io, err := sample.Run(cfg)
@@ -251,17 +275,17 @@ func runLogged(t *testing.T, spec sim.RunSpec, store memStore, serve func(pos ui
 // generator's state at its position, whether the generator stood there
 // when the checkpoint was captured or a detailed interval had already read
 // past it.
-func checkStoredGen(t *testing.T, name, bench string, store memStore) {
+func checkStoredGen(t *testing.T, name, bench string, store *memStore) {
 	t.Helper()
 	var positions []uint64
-	for pos := range store {
+	for pos := range store.data {
 		positions = append(positions, pos)
 	}
 	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
 	ref := workload.MustNew(bench)
 	var at uint64
 	for _, pos := range positions {
-		c, err := ckpt.Decode(store[pos])
+		c, err := ckpt.Decode(store.data[pos])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,11 +304,16 @@ func checkStoredGen(t *testing.T, name, bench string, store memStore) {
 
 // TestRunGeneratesEachInstructionOnce pins the single stream walk: whether
 // every checkpoint is computed, every one is reloaded, or they alternate,
-// sample.Run builds one generator, every engine sees the stream's own
-// instructions at its positions, and the results do not depend on the
-// store. A checkpoint filed under the wrong position counts as a miss. The
-// 2k/8k plan's intervals tile their stride, so detailed reads cross the
-// next interval start there.
+// every engine sees the stream's own instructions at its positions, no
+// position is generated twice, and the results do not depend on the store.
+// A checkpoint filed under the wrong position counts as a miss. The 2k/8k
+// plan's intervals tile their stride, so detailed reads cross the next
+// interval start there.
+//
+// sample.Run builds one generator for the walk, and one more for each hit
+// that fans out: in the stateful column, where every checkpoint is a hit
+// and the intervals are far apart (10k/200k "full"), each interval reads
+// from a generator of its own. The tiling plan never fans out.
 //
 // Two columns of generators run each store state. One hides its state
 // methods, so a hit regenerates the stream up to its position: the run
@@ -321,11 +350,12 @@ func TestRunGeneratesEachInstructionOnce(t *testing.T) {
 				name  string
 				serve func(pos uint64) (uint64, bool)
 				hits  uint64
+				fans  int // hits that fan out, with a stateful generator and intervals apart
 			}{
-				{"empty", func(pos uint64) (uint64, bool) { return pos, false }, 0},
-				{"full", func(pos uint64) (uint64, bool) { return pos, true }, 4},
-				{"every-other", func(pos uint64) (uint64, bool) { return pos, (pos-sc.warmup)/stride%2 == 0 }, 2},
-				{"misfiled", func(pos uint64) (uint64, bool) { return pos + stride, true }, 0},
+				{"empty", func(pos uint64) (uint64, bool) { return pos, false }, 0, 0},
+				{"full", func(pos uint64) (uint64, bool) { return pos, true }, 4, 4},
+				{"every-other", func(pos uint64) (uint64, bool) { return pos, (pos-sc.warmup)/stride%2 == 0 }, 2, 0},
+				{"misfiled", func(pos uint64) (uint64, bool) { return pos + stride, true }, 0, 0},
 			}
 			type outcome struct {
 				st  *pipeline.Stats
@@ -347,15 +377,19 @@ func TestRunGeneratesEachInstructionOnce(t *testing.T) {
 					if stateful {
 						column = mode.name + " stateful"
 					}
-					store := memStore{}
+					store := newMemStore()
 					for i, state := range states {
 						st, sum, io, log := runLogged(t, spec, store, state.serve, stateful, mode.lend)
 						name := column + " " + state.name
 						if io.Hits != state.hits || io.Hits+io.Misses != 4 {
 							t.Errorf("%s store: io = %+v, want %d hits of 4", name, io, state.hits)
 						}
-						if log.newGens != 1 {
-							t.Errorf("%s store: NewGen called %d times, want once", name, log.newGens)
+						wantGens := 1
+						if stateful && !sc.crosses {
+							wantGens += state.fans
+						}
+						if log.newGens != wantGens {
+							t.Errorf("%s store: NewGen called %d times, want %d", name, log.newGens, wantGens)
 						}
 						want := log.furthest
 						if stateful {
@@ -365,13 +399,14 @@ func TestRunGeneratesEachInstructionOnce(t *testing.T) {
 							t.Errorf("%s store: %d Next calls; engines consumed %d distinct positions, up to %d",
 								name, log.calls, log.distinct(), log.furthest)
 						}
+						sort.Slice(log.detailed, func(i, j int) bool { return log.detailed[i][0] < log.detailed[j][0] })
 						crossed := false
-						for j := 0; j+1 < len(log.starts); j++ {
-							crossed = crossed || log.ends[j] > log.starts[j+1]
+						for j := 0; j+1 < len(log.detailed); j++ {
+							crossed = crossed || log.detailed[j][1] > log.detailed[j+1][0]
 						}
 						if crossed != sc.crosses {
-							t.Errorf("%s store: detailed reads cross the next interval start: %v, want %v (starts %v, ends %v)",
-								name, crossed, sc.crosses, log.starts, log.ends)
+							t.Errorf("%s store: detailed reads cross the next interval start: %v, want %v (start and end of each: %v)",
+								name, crossed, sc.crosses, log.detailed)
 						}
 						if stateful {
 							checkStoredGen(t, name, spec.Bench, store)
@@ -504,6 +539,191 @@ func TestRunReraisesPanics(t *testing.T) {
 			}()
 			if got != c.want {
 				t.Errorf("recovered %v, want %v", got, c.want)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines left running, want %d", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// fanOutSpec is a small sampled run whose hits fan out: R10-64's span, the
+// 3,000 detailed instructions of an interval plus its Lookahead, fits the
+// 10,000-instruction stride between interval starts.
+func fanOutSpec() sim.RunSpec {
+	spec := sim.OOOSpec("mcf", ooo.R10K64(), 10_000, 40_000)
+	spec.Sample = sample.DefaultPlan()
+	return spec
+}
+
+// fanOutConfig returns spec's sample.Run configuration over a store that
+// holds every checkpoint, with their generator state, so every interval
+// fans out. Its NewGen counts the generators it builds in gens.
+func fanOutConfig(t *testing.T, spec sim.RunSpec, newEngine func() sample.Engine, gens *int) sample.Config {
+	t.Helper()
+	store := newMemStore()
+	g := workload.MustNew(spec.Bench)
+	cfg := sample.Config{
+		Bench:     spec.Bench,
+		NewEngine: spec.NewEngine,
+		NewGen: func() trace.Generator {
+			*gens++
+			return workload.MustNew(spec.Bench)
+		},
+		WarmRanges: g.WarmRanges(),
+		Warmup:     spec.Warmup,
+		Measure:    spec.Measure,
+		Plan:       spec.SamplePlan(),
+		Load:       func(pos uint64) *ckpt.Checkpoint { return store.load(t, pos) },
+		Store:      store.put,
+	}
+	if _, _, io, err := sample.Run(cfg); err != nil || io.Writes != 4 {
+		t.Fatalf("filling the store: io %+v, err %v", io, err)
+	}
+	cfg.NewEngine = newEngine
+	*gens = 0
+	return cfg
+}
+
+// liveEngine counts the detailed engines whose Run has not returned. Each
+// Run lingers a while first, so that intervals a schedule lets overlap do
+// overlap.
+type liveEngine struct {
+	sample.Engine
+	live *liveCount
+}
+
+type liveCount struct {
+	mu        sync.Mutex
+	now, most int
+}
+
+func (e *liveEngine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats {
+	time.Sleep(10 * time.Millisecond)
+	st := e.Engine.Run(g, warmup, measure)
+	e.live.mu.Lock()
+	e.live.now--
+	e.live.mu.Unlock()
+	return st
+}
+
+// TestRunFanOutHoldsTwoEngines runs an all-hit run whose intervals fan
+// out, with a lender that lends one CPU at a time, as a one-worker Runner
+// on two CPUs does: at most two detailed engines are alive at once, the
+// helper's and the one the caller runs inline; every interval builds a
+// generator of its own; and the results equal an inline run's.
+func TestRunFanOutHoldsTwoEngines(t *testing.T) {
+	spec := fanOutSpec()
+	live := &liveCount{}
+	var gens int
+	cfg := fanOutConfig(t, spec, func() sample.Engine {
+		live.mu.Lock()
+		live.now++
+		live.most = max(live.most, live.now)
+		live.mu.Unlock()
+		return &liveEngine{Engine: spec.NewEngine(), live: live}
+	}, &gens)
+	want, wantSum, _, err := sample.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lent atomic.Bool
+	cfg.LendCPU = func() func() {
+		if !lent.CompareAndSwap(false, true) {
+			return nil
+		}
+		return func() { lent.Store(false) }
+	}
+	gens, live.most = 0, 0
+	st, sum, io, err := sample.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if io.Hits != 4 || gens != 5 {
+		t.Errorf("io %+v, %d generators built; want 4 hits, one generator for the walk and one per interval", io, gens)
+	}
+	if live.most > 2 {
+		t.Errorf("%d detailed engines alive at once, want at most 2", live.most)
+	}
+	if !reflect.DeepEqual(st, want) || !reflect.DeepEqual(sum, wantSum) {
+		t.Errorf("lent run differs from the inline run\ngot:  %+v %+v\nwant: %+v %+v", st, sum, want, wantSum)
+	}
+}
+
+// faultyEngine fails the detailed interval that starts at one stream
+// position: restoring its checkpoint returns an error, or its Run panics.
+type faultyEngine struct {
+	sample.Engine
+	errAt, panicAt uint64 // interval starts; 0 for none
+	err            error
+	value          any
+	pos            uint64
+}
+
+func (e *faultyEngine) RestoreArch(c *ckpt.Checkpoint) error {
+	if e.pos = c.Pos; e.pos == e.errAt {
+		return e.err
+	}
+	return e.Engine.RestoreArch(c)
+}
+
+func (e *faultyEngine) Run(g trace.Generator, warmup, measure uint64) *pipeline.Stats {
+	if e.pos == e.panicAt {
+		panic(e.value)
+	}
+	return e.Engine.Run(g, warmup, measure)
+}
+
+// TestRunFanOutFailsInIntervalOrder fails two fanned-out intervals of an
+// all-hit run, one on a helper and one inline: the caller sees the earlier
+// interval's failure, an error restoring its checkpoint as Run's error and
+// a panic with its own value, whichever kind the later one is and wherever
+// either ran, and no goroutine the run started is left running.
+func TestRunFanOutFailsInIntervalOrder(t *testing.T) {
+	spec := fanOutSpec()
+	restoreErr := errors.New("restoring the checkpoint failed")
+	panicked := errors.New("the interval panicked")
+	pos := func(i int) uint64 { return spec.Warmup + uint64(i)*spec.Measure/4 }
+	for _, c := range []struct {
+		name           string
+		lend           []int // the intervals a CPU is lent to; the others run inline
+		errAt, panicAt int   // the failing intervals
+		want           any
+	}{
+		{"error on a helper, then a panic inline", []int{1}, 1, 2, restoreErr},
+		{"error inline, then a panic on a helper", []int{2}, 1, 2, restoreErr},
+		{"panic on a helper, then an error inline", []int{1}, 2, 1, panicked},
+		{"panic inline beside a helper, then an error", []int{0, 2}, 2, 1, panicked},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var gens int
+			cfg := fanOutConfig(t, spec, func() sample.Engine {
+				return &faultyEngine{Engine: spec.NewEngine(), errAt: pos(c.errAt), panicAt: pos(c.panicAt), err: restoreErr, value: panicked}
+			}, &gens)
+			calls := 0
+			cfg.LendCPU = func() func() {
+				defer func() { calls++ }()
+				if slices.Contains(c.lend, calls) {
+					return func() {}
+				}
+				return nil
+			}
+			got := func() (v any) {
+				defer func() {
+					if r := recover(); r != nil {
+						v = r
+					}
+				}()
+				_, _, _, err := sample.Run(cfg)
+				return err
+			}()
+			if got != c.want {
+				t.Errorf("Run failed with %v, want %v", got, c.want)
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > base {

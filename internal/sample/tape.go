@@ -17,8 +17,8 @@ type stateful interface {
 }
 
 // tape is a sampled run's single pass over its instruction stream. It owns
-// the run's only generator and serves two consumers, which Run may drive
-// from two goroutines at once:
+// the walk's generator and serves two consumers, which Run may drive from
+// two goroutines at once:
 //
 //   - The walk — the tape itself, used as a trace.Generator — carries the
 //     stream position from one interval start to the next: through the
@@ -50,6 +50,9 @@ type stateful interface {
 // A panic in the generator leaves the tape failed: the consumer that called
 // it sees the panic, and every later use of the generator re-raises its
 // value, so both consumers stop with the same panic.
+//
+// A checkpoint hit that fans out reads a tape of its own instead, seeked to
+// its checkpoint and used as a walk that no reader shares.
 type tape struct {
 	mu    sync.Mutex
 	idle  sync.Cond // signalled when the generator is put down

@@ -23,9 +23,12 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"strconv"
 
 	"dkip/internal/ckpt"
 	"dkip/internal/core"
@@ -144,11 +147,26 @@ func (s RunSpec) SamplePlan() sample.Plan {
 // geometry, so every sweep point over e.g. window sizes shares one
 // checkpoint set.
 func (s RunSpec) checkpointKey(pos uint64) string {
+	return s.checkpointKeys()(pos)
+}
+
+// checkpointKeys returns checkpointKey as a function of the position alone,
+// with the rest of the key's input computed once: naming the predictor
+// builds one, which for the perceptron machines allocates about 360 KB.
+// The function is safe to call from several goroutines at once.
+func (s RunSpec) checkpointKeys() func(pos uint64) string {
 	p := s.config().Defaults().Params()
-	h := sha256.New()
-	fmt.Fprintf(h, "ckpt;family=%s;bench=%s;tag=%s;pred=%s;pos=%d;", p.Family, s.Bench, s.Tag, p.NewPredictor().Name(), pos)
-	hashConfig(h, p.Mem)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	head := fmt.Sprintf("ckpt;family=%s;bench=%s;tag=%s;pred=%s;pos=", p.Family, s.Bench, s.Tag, p.NewPredictor().Name())
+	var tail bytes.Buffer
+	hashConfig(&tail, p.Mem)
+	return func(pos uint64) string {
+		h := sha256.New()
+		io.WriteString(h, head)
+		io.WriteString(h, strconv.FormatUint(pos, 10))
+		io.WriteString(h, ";")
+		h.Write(tail.Bytes())
+		return hex.EncodeToString(h.Sum(nil)[:16])
+	}
 }
 
 // Memoizable reports whether the Key fully identifies the run. A spec whose
@@ -259,20 +277,29 @@ func sampledConfig(s RunSpec, store *Store) (sample.Config, error) {
 	if err != nil {
 		return sample.Config{}, err
 	}
+	first := g
 	cfg := sample.Config{
 		Bench:     s.Bench,
 		NewEngine: s.NewEngine,
-		// sample.Run calls NewGen once, so the run builds one generator:
-		// this one, which its tape reads.
-		NewGen:     func() trace.Generator { return g },
+		// sample.Run calls NewGen from its own goroutine: first for the
+		// walk's generator, which is g, then for each checkpoint hit that
+		// reads from a generator of its own.
+		NewGen: func() trace.Generator {
+			if b := first; b != nil {
+				first = nil
+				return b
+			}
+			return workload.MustNew(s.Bench) // workload.New accepted the name above
+		},
 		WarmRanges: g.WarmRanges(),
 		Warmup:     s.Warmup,
 		Measure:    s.Measure,
 		Plan:       s.SamplePlan(),
 	}
 	if store != nil && s.Memoizable() {
+		key := s.checkpointKeys()
 		cfg.Load = func(pos uint64) *ckpt.Checkpoint {
-			data, ok := store.GetBlob(ckptKind, s.checkpointKey(pos))
+			data, ok := store.GetBlob(ckptKind, key(pos))
 			if !ok {
 				return nil
 			}
@@ -287,7 +314,7 @@ func sampledConfig(s RunSpec, store *Store) (sample.Config, error) {
 		}
 		cfg.Store = func(c *ckpt.Checkpoint) {
 			// A failed write is a cache non-event, same as Result writes.
-			_ = store.PutBlob(ckptKind, s.checkpointKey(c.Pos), ckpt.Encode(c))
+			_ = store.PutBlob(ckptKind, key(c.Pos), ckpt.Encode(c))
 		}
 	}
 	return cfg, nil
