@@ -2,7 +2,9 @@ package ckpt_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -66,6 +68,43 @@ func FuzzDecode(f *testing.F) {
 			check(t, binary.LittleEndian.AppendUint32(data[:body:body], crc32.Checksum(data[:body], crc32.MakeTable(crc32.Castagnoli))))
 		}
 	})
+}
+
+// checkpointPins pins the SHA-256 of the encoded checkpoint each paper
+// machine family captures at pinnedPos: every section of it, caches
+// included, byte for byte. A change to how any section is laid out, or to
+// what warming leaves in it, fails here before it reaches a store.
+var checkpointPins = map[string]string{
+	"dkip":    "097592683c68ec4751f4021ec6f24050e8443c32b318c619a598b9baa2846e10",
+	"r10-64":  "2e4f9ed5804ca2665e57005c82ee2f9c8621a1ae12bde10e0952da815edbcf64",
+	"inorder": "81189f10e5488cef7aa24f16ed480d23b9d2c739086c14295ab3a4fd405b82e6",
+}
+
+const pinnedPos = 20_000
+
+func TestCheckpointBytesPinned(t *testing.T) {
+	for _, run := range []struct{ preset, bench string }{
+		{"dkip", "mcf"},    // DKIP-2048
+		{"r10-64", "swim"}, // R10-64
+		{"inorder", "gcc"}, // C920
+	} {
+		spec := sim.MustPresetSpec(run.preset, run.bench, 0, 0)
+		e := spec.NewEngine()
+		g := workload.MustNew(run.bench)
+		e.Hierarchy().Warm(g.WarmRanges())
+		e.WarmFunctional(g, pinnedPos)
+		c, err := e.CaptureArch(run.bench, pinnedPos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Gen, err = g.SaveState(); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(ckpt.Encode(c))
+		if got := hex.EncodeToString(sum[:]); got != checkpointPins[run.preset] {
+			t.Errorf("%s on %s: checkpoint at %d hashes to %s, pinned %s", run.preset, run.bench, pinnedPos, got, checkpointPins[run.preset])
+		}
+	}
 }
 
 func check(t *testing.T, data []byte) {
