@@ -19,6 +19,13 @@
 // what the CI checkpoint-determinism gate relies on: resuming a killed sweep
 // from stored checkpoints must reproduce the from-cold artifact byte for
 // byte.
+//
+// Each section belongs to the package that owns its state: mem writes the
+// cache section, predictor the predictor and estimator sections, and the
+// generator its own. This package frames them. Decode checks the framing —
+// magic, version, checksum, length prefixes — and each owner checks its
+// section when an engine restores the checkpoint (engine.RestoreArch), or
+// internal/sample seats a generator with it.
 package ckpt
 
 import (
@@ -38,8 +45,10 @@ type Checkpoint struct {
 	// without it the suffix is reached by regenerating the Pos instructions
 	// before it, which deterministic generators make exact but not cheap.
 	Pos uint64
-	// Hier is the cache contents (tags, valid bits, LRU clocks).
-	Hier mem.HierarchyState
+	// Hier is the cache hierarchy's snapshot (mem.Hierarchy.SaveState):
+	// tags, valid bits and LRU clocks. Its layout belongs to mem, which
+	// checks it when an engine restores the checkpoint.
+	Hier []byte
 	// PredName identifies the predictor the Pred snapshot came from, as a
 	// guard against restoring e.g. gshare state into a perceptron.
 	PredName string

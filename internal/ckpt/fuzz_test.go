@@ -3,9 +3,7 @@ package ckpt_test
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"hash/crc32"
 	"reflect"
 	"testing"
 
@@ -19,13 +17,46 @@ import (
 	"dkip/internal/workload"
 )
 
+// smallFamilies returns a spec of each engine family (D-KIP, out of order,
+// in order) with small caches and predictors, so their checkpoints stay a
+// few kilobytes.
+func smallFamilies() []sim.RunSpec {
+	small := mem.Config{Name: "fuzz", L1Size: 512, L1Latency: 1, L2Size: 2048, L2Latency: 10, MemLatency: 100}
+	pred := func() predictor.Predictor { return predictor.NewPerceptron(8, 4) }
+	oooCfg, inorderCfg := ooo.R10K64(), inorder.C920()
+	oooCfg.Mem, oooCfg.NewPredictor = small, pred
+	inorderCfg.Mem, inorderCfg.NewPredictor = small, pred
+	return []sim.RunSpec{
+		sim.DKIPSpec("mcf", core.Config{Mem: small, NewPredictor: pred}, 0, 1000),
+		sim.OOOSpec("swim", oooCfg, 0, 1000),
+		sim.InorderSpec("gcc", inorderCfg, 0, 1000),
+	}
+}
+
+// capture warms a fresh engine of spec over the first 3000 instructions of
+// its workload and captures a checkpoint there, without generator state. It
+// returns the generator, which stands at that position.
+func capture(tb testing.TB, spec sim.RunSpec) (*ckpt.Checkpoint, *workload.Benchmark) {
+	tb.Helper()
+	e := spec.NewEngine()
+	g := workload.MustNew(spec.Bench)
+	e.Hierarchy().Warm(g.WarmRanges())
+	e.WarmFunctional(g, 3000)
+	c, err := e.CaptureArch(spec.Bench, 3000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, g
+}
+
 // FuzzDecode drives Decode over arbitrary bytes, each input also resealed
 // with the checksum it would need, so the fuzzer reaches the structure
 // checks behind the trailer. Invariants: Decode never panics, and what it
 // accepts is exactly what Encode writes — re-encoding reproduces the input.
 // Seeds are checkpoints captured from an engine of each family (D-KIP, out
 // of order, in order), with and without generator state. Their caches and
-// predictors are small, so the seeds stay a few kilobytes.
+// predictors are small, so the seeds stay a few kilobytes. Decode leaves
+// the cache section to mem, whose FuzzHierarchyState fuzzes it.
 func FuzzDecode(f *testing.F) {
 	add := func(c *ckpt.Checkpoint) {
 		data := ckpt.Encode(c)
@@ -34,25 +65,10 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	small := mem.Config{Name: "fuzz", L1Size: 512, L1Latency: 1, L2Size: 2048, L2Latency: 10, MemLatency: 100}
-	pred := func() predictor.Predictor { return predictor.NewPerceptron(8, 4) }
-	oooCfg, inorderCfg := ooo.R10K64(), inorder.C920()
-	oooCfg.Mem, oooCfg.NewPredictor = small, pred
-	inorderCfg.Mem, inorderCfg.NewPredictor = small, pred
-	for _, spec := range []sim.RunSpec{
-		sim.DKIPSpec("mcf", core.Config{Mem: small, NewPredictor: pred}, 0, 1000),
-		sim.OOOSpec("swim", oooCfg, 0, 1000),
-		sim.InorderSpec("gcc", inorderCfg, 0, 1000),
-	} {
-		e := spec.NewEngine()
-		g := workload.MustNew(spec.Bench)
-		e.Hierarchy().Warm(g.WarmRanges())
-		e.WarmFunctional(g, 3000)
-		c, err := e.CaptureArch(spec.Bench, 3000)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, spec := range smallFamilies() {
+		c, g := capture(f, spec)
 		add(c)
+		var err error
 		if c.Gen, err = g.SaveState(); err != nil {
 			f.Fatal(err)
 		}
@@ -64,8 +80,7 @@ func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check(t, data)
 		if len(data) >= 4 {
-			body := len(data) - 4
-			check(t, binary.LittleEndian.AppendUint32(data[:body:body], crc32.Checksum(data[:body], crc32.MakeTable(crc32.Castagnoli))))
+			check(t, resealed(data))
 		}
 	})
 }

@@ -36,7 +36,7 @@ func (e *Engine) CaptureArch(bench string, pos uint64) (*ckpt.Checkpoint, error)
 	c := &ckpt.Checkpoint{
 		Bench:    bench,
 		Pos:      pos,
-		Hier:     e.Hier.State(),
+		Hier:     e.Hier.SaveState(),
 		PredName: e.BP.Name(),
 		Pred:     pred,
 	}
@@ -50,17 +50,19 @@ func (e *Engine) CaptureArch(bench string, pos uint64) (*ckpt.Checkpoint, error)
 	return c, nil
 }
 
-// RestoreArch loads a checkpoint captured by CaptureArch. When the engine
-// has a confidence estimator but the checkpoint carries no section for it
-// (captured by an estimator-less family), the estimator is left untrained;
-// a present section is ignored by families without one. The caller still
-// owns positioning the generator at c.Pos.
+// RestoreArch loads a checkpoint captured by CaptureArch. The owner of each
+// section, mem or predictor, checks it and refuses one that does not fit
+// this engine. When the engine has a confidence estimator but the
+// checkpoint carries no section for it (captured by an estimator-less
+// family), the estimator is left untrained; a present section is ignored
+// by families without one. The caller still owns positioning the generator
+// at c.Pos.
 func (e *Engine) RestoreArch(c *ckpt.Checkpoint) error {
 	if c.PredName != e.BP.Name() {
 		return fmt.Errorf("%s: checkpoint predictor %q does not match %q", e.P.Family, c.PredName, e.BP.Name())
 	}
-	if err := e.Hier.SetState(c.Hier); err != nil {
-		return err
+	if err := e.Hier.LoadState(c.Hier); err != nil {
+		return fmt.Errorf("%s: checkpoint caches: %w", e.P.Family, err)
 	}
 	if err := e.BP.LoadState(c.Pred); err != nil {
 		return err

@@ -1,99 +1,154 @@
 package mem
 
-import "fmt"
+import (
+	"encoding/binary"
+	"errors"
 
-// CacheState is a deep snapshot of a cache's architectural contents: tags,
-// valid bits, and LRU clocks, but not access statistics. It feeds the
-// checkpoint codec in internal/ckpt, so every field is an exact integer —
-// a restored cache replays byte-for-byte identically to one that was warmed
-// in place.
-type CacheState struct {
-	// Geometry echo, validated on restore: a snapshot only fits a cache
-	// with the same shape.
-	Size  int
-	Line  int
-	Assoc int
+	"dkip/internal/binread"
+)
 
-	Clock uint64
-	Tags  []uint64
-	Valid []bool
-	LRU   []uint64
+// Hierarchy snapshot, little-endian: L1 then L2, each
+//
+//	presence u8 (0 for a perfect or absent level, and nothing follows)
+//	size u32 | line u32 | assoc u32 | clock u64 | ways u32 |
+//	tags ways×u64 | valid ways×u8 | lru ways×u64
+//
+// It is the cache section of a checkpoint: internal/ckpt frames it, and
+// this package alone lays it out and checks it. Every field is an exact
+// integer, so a restored hierarchy replays bit for bit as one warmed in
+// place. Access statistics are not part of it.
+
+// wayBytes is the snapshot size of one cache way: tag, valid, LRU.
+const wayBytes = 8 + 1 + 8
+
+// LoadState's refusals of its own; the reader's are binread's errors.
+var (
+	errStateLevels   = errors.New("mem: state's cache levels do not match the hierarchy's")
+	errStateGeometry = errors.New("mem: state's cache geometry does not match the hierarchy's")
+)
+
+// SaveState snapshots the hierarchy's cache contents: tags, valid bits and
+// LRU clocks.
+func (h *Hierarchy) SaveState() []byte {
+	b := make([]byte, 0, h.l1.stateLen()+h.l2.stateLen())
+	return h.l2.appendState(h.l1.appendState(b))
 }
 
-// State returns a deep snapshot of the cache's contents.
-func (c *Cache) State() *CacheState {
-	st := &CacheState{
-		Size:  c.sizeBytes,
-		Line:  c.lineBytes,
-		Assoc: c.assoc,
-		Clock: c.clock,
-		Tags:  make([]uint64, len(c.tags)),
-		Valid: make([]bool, len(c.valid)),
-		LRU:   make([]uint64, len(c.lru)),
+// LoadState restores a snapshot SaveState took from a hierarchy of the same
+// configuration. It checks the snapshot against this hierarchy — each
+// level's presence, geometry and way count, every flag byte and the length
+// — before it writes either level, so a refused snapshot leaves the
+// hierarchy as it was. Statistics are left untouched. It allocates nothing,
+// whether it refuses the snapshot or not: its errors are fixed values,
+// binread's or this package's, which callers wrap.
+func (h *Hierarchy) LoadState(data []byte) error {
+	r := binread.New(data)
+	l1, err := h.l1.readState(&r)
+	if err != nil {
+		return err
 	}
-	copy(st.Tags, c.tags)
-	copy(st.Valid, c.valid)
-	copy(st.LRU, c.lru)
-	return st
-}
-
-// SetState restores a snapshot taken by State. The snapshot must come from a
-// cache with identical geometry; statistics are left untouched.
-func (c *Cache) SetState(st *CacheState) error {
-	if st == nil {
-		return fmt.Errorf("mem: cache %q: nil state", c.name)
+	l2, err := h.l2.readState(&r)
+	if err != nil {
+		return err
 	}
-	if st.Size != c.sizeBytes || st.Line != c.lineBytes || st.Assoc != c.assoc {
-		return fmt.Errorf("mem: cache %q: state geometry %d/%d/%d does not match cache %d/%d/%d",
-			c.name, st.Size, st.Line, st.Assoc, c.sizeBytes, c.lineBytes, c.assoc)
+	if err := r.Done(); err != nil {
+		return err
 	}
-	if len(st.Tags) != len(c.tags) || len(st.Valid) != len(c.valid) || len(st.LRU) != len(c.lru) {
-		return fmt.Errorf("mem: cache %q: state arrays sized %d/%d/%d, want %d",
-			c.name, len(st.Tags), len(st.Valid), len(st.LRU), len(c.tags))
-	}
-	copy(c.tags, st.Tags)
-	copy(c.valid, st.Valid)
-	copy(c.lru, st.LRU)
-	c.clock = st.Clock
+	h.l1.loadState(l1)
+	h.l2.loadState(l2)
 	return nil
 }
 
-// HierarchyState is a deep snapshot of a hierarchy's cache contents. A nil
-// level records that the hierarchy has no cache at that level (perfect or
-// absent), which restore validates.
-type HierarchyState struct {
-	L1 *CacheState
-	L2 *CacheState
+// stateLen is the size of the cache's snapshot section; a nil cache (a
+// perfect or absent level) writes its presence byte alone.
+func (c *Cache) stateLen() int {
+	if c == nil {
+		return 1
+	}
+	return 1 + 3*4 + 8 + 4 + len(c.tags)*wayBytes
 }
 
-// State returns a deep snapshot of the hierarchy's cache contents.
-func (h *Hierarchy) State() HierarchyState {
-	var st HierarchyState
-	if h.l1 != nil {
-		st.L1 = h.l1.State()
+func (c *Cache) appendState(b []byte) []byte {
+	if c == nil {
+		return append(b, 0)
 	}
-	if h.l2 != nil {
-		st.L2 = h.l2.State()
+	le := binary.LittleEndian
+	b = append(b, 1)
+	b = le.AppendUint32(b, uint32(c.sizeBytes))
+	b = le.AppendUint32(b, uint32(c.lineBytes))
+	b = le.AppendUint32(b, uint32(c.assoc))
+	b = le.AppendUint64(b, c.clock)
+	b = le.AppendUint32(b, uint32(len(c.tags)))
+	for _, t := range c.tags {
+		b = le.AppendUint64(b, t)
 	}
-	return st
+	for _, v := range c.valid {
+		if v {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	for _, l := range c.lru {
+		b = le.AppendUint64(b, l)
+	}
+	return b
 }
 
-// SetState restores a snapshot taken by State into a hierarchy of identical
-// configuration. Statistics are left untouched.
-func (h *Hierarchy) SetState(st HierarchyState) error {
-	if (h.l1 == nil) != (st.L1 == nil) || (h.l2 == nil) != (st.L2 == nil) {
-		return fmt.Errorf("mem: hierarchy %q: state levels (L1=%v,L2=%v) do not match hierarchy (L1=%v,L2=%v)",
-			h.cfg.Name, st.L1 != nil, st.L2 != nil, h.l1 != nil, h.l2 != nil)
+// cacheImage is one level's checked section of a snapshot, not yet loaded.
+type cacheImage struct {
+	clock            uint64
+	tags, valid, lru []byte
+}
+
+// readState reads one level's section and checks it against c, which is
+// nil for a perfect or absent level.
+func (c *Cache) readState(r *binread.Reader) (cacheImage, error) {
+	var im cacheImage
+	present := r.Flag()
+	if err := r.Err(); err != nil {
+		return im, err
 	}
-	if h.l1 != nil {
-		if err := h.l1.SetState(st.L1); err != nil {
-			return err
+	if present != (c != nil) {
+		return im, errStateLevels
+	}
+	if c == nil {
+		return im, nil
+	}
+	size, line, assoc := r.U32(), r.U32(), r.U32()
+	im.clock = r.U64()
+	ways := r.U32()
+	if err := r.Err(); err != nil {
+		return im, err
+	}
+	// The way count is checked before the ways are read: a hostile count
+	// never decides how far the reader goes.
+	if int(size) != c.sizeBytes || int(line) != c.lineBytes || int(assoc) != c.assoc || int(ways) != len(c.tags) {
+		return im, errStateGeometry
+	}
+	n := len(c.tags)
+	im.tags, im.valid, im.lru = r.Bytes(8*n), r.Bytes(n), r.Bytes(8*n)
+	if err := r.Err(); err != nil {
+		return im, err
+	}
+	for _, v := range im.valid {
+		if v > 1 {
+			return im, binread.ErrFlag
 		}
 	}
-	if h.l2 != nil {
-		if err := h.l2.SetState(st.L2); err != nil {
-			return err
-		}
+	return im, nil
+}
+
+// loadState writes a section readState checked.
+func (c *Cache) loadState(im cacheImage) {
+	if c == nil {
+		return
 	}
-	return nil
+	le := binary.LittleEndian
+	for i := range c.tags {
+		c.tags[i] = le.Uint64(im.tags[8*i:])
+		c.valid[i] = im.valid[i] == 1
+		c.lru[i] = le.Uint64(im.lru[8*i:])
+	}
+	c.clock = im.clock
 }

@@ -92,16 +92,17 @@ type DynInst struct {
 }
 
 // reset reinitializes an entry for a new dynamic instruction, keeping the
-// Consumers slice capacity.
+// Consumers slice capacity. It zeroes the entry and then sets the fields
+// whose initial value is not zero, all in place: assigning one whole
+// literal would build it in a temporary and copy it over the entry.
 func (d *DynInst) reset(seq uint64, in isa.Instr) {
 	c := d.Consumers[:0]
-	*d = DynInst{
-		Seq: seq, In: in,
-		FetchCycle: -1, RenameCycle: -1, IssueCycle: -1, CompleteCycle: -1,
-		Consumers: c,
-		Prod1:     NoProducer, Prod2: NoProducer,
-		LLRFBank: -1,
-	}
+	*d = DynInst{}
+	d.Seq, d.In = seq, in
+	d.FetchCycle, d.RenameCycle, d.IssueCycle, d.CompleteCycle = -1, -1, -1, -1
+	d.Consumers = c
+	d.Prod1, d.Prod2 = NoProducer, NoProducer
+	d.LLRFBank = -1
 	// Normalize: an operation without a destination must not appear to
 	// define a register, whatever the trace put in the Dest field.
 	if !in.Op.HasDest() {

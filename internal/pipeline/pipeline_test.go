@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -378,6 +380,124 @@ func TestIsFPClass(t *testing.T) {
 		d := DynInst{In: c.in}
 		if d.IsFPClass() != c.want {
 			t.Errorf("IsFPClass(%v) = %v", c.in.Op, d.IsFPClass())
+		}
+	}
+}
+
+// leaf is one integer or bool field of a struct, an array element
+// included, with its path and the top-level field it sits under.
+type leaf struct {
+	path, top string
+	v         reflect.Value
+}
+
+// leaves walks the struct p points to and returns its leaves in declaration
+// order. A slice leaf is returned whole; a kind the walk does not know
+// fails the test, so a new field's type cannot slip past it.
+func leaves(t *testing.T, p any) []leaf {
+	t.Helper()
+	var out []leaf
+	var walk func(v reflect.Value, path, top string)
+	walk = func(v reflect.Value, path, top string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				name := v.Type().Field(i).Name
+				if top == "" {
+					walk(v.Field(i), name, name)
+				} else {
+					walk(v.Field(i), path+"."+name, top)
+				}
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i), top)
+			}
+		case reflect.Bool, reflect.Slice,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			if !v.CanSet() {
+				t.Fatalf("%s cannot be set through reflection", path)
+			}
+			out = append(out, leaf{path, top, v})
+		default:
+			t.Fatalf("%s has kind %v, which the walk does not set", path, v.Kind())
+		}
+	}
+	walk(reflect.ValueOf(p).Elem(), "", "")
+	return out
+}
+
+// setInt sets an integer leaf to n.
+func setInt(v reflect.Value, n uint64) {
+	if v.CanInt() {
+		v.SetInt(int64(n))
+	} else {
+		v.SetUint(n)
+	}
+}
+
+// TestDynInstResetClearsEveryField dirties every field of a window entry
+// and resets it: the entry must equal a fresh one reset with the same
+// instruction, apart from the Consumers capacity, which it keeps.
+func TestDynInstResetClearsEveryField(t *testing.T) {
+	for _, in := range []isa.Instr{
+		{PC: 0x40, Op: isa.Load, Dest: isa.IntReg(3), Src1: isa.IntReg(4), Addr: 0x1000, ChainLoad: true},
+		{PC: 0x44, Op: isa.Store, Dest: isa.IntReg(5), Src1: isa.IntReg(6), Src2: isa.IntReg(7)},
+	} {
+		var used DynInst
+		for _, l := range leaves(t, &used) {
+			switch l.v.Kind() {
+			case reflect.Bool:
+				l.v.SetBool(true)
+			case reflect.Slice:
+				l.v.Set(reflect.ValueOf([]uint64{1, 2, 3}))
+			default:
+				setInt(l.v, 5)
+			}
+		}
+		capacity := cap(used.Consumers)
+		used.reset(9, in)
+		var fresh DynInst
+		fresh.reset(9, in)
+		if len(used.Consumers) != 0 || cap(used.Consumers) != capacity {
+			t.Errorf("%v: reset left Consumers at len %d cap %d, want len 0 cap %d", in.Op, len(used.Consumers), cap(used.Consumers), capacity)
+		}
+		used.Consumers, fresh.Consumers = nil, nil
+		if !reflect.DeepEqual(used, fresh) {
+			t.Errorf("%v: a reset dirty entry differs from a reset fresh one:\ndirty: %+v\nfresh: %+v", in.Op, used, fresh)
+		}
+	}
+}
+
+// TestStatsAddFoldsEveryField gives every integer leaf of two Stats a
+// distinct value, the histogram's and the arrays' included, and checks
+// that Add sums each counter and takes the larger high-water mark, with
+// either operand holding the larger values. A field Add leaves out fails.
+func TestStatsAddFoldsEveryField(t *testing.T) {
+	highWater := map[string]bool{"MaxLLIBInstrs": true, "MaxLLIBRegs": true}
+	for _, scale := range [][2]uint64{{1, 1000}, {1000, 1}} {
+		var s, o Stats
+		ls, lo := leaves(t, &s), leaves(t, &o)
+		for i := range ls {
+			setInt(ls[i].v, scale[0]*uint64(i+1))
+			setInt(lo[i].v, scale[1]*uint64(i+1))
+		}
+		s.Add(&o)
+		for i, l := range ls {
+			want := 1001 * uint64(i+1)
+			if highWater[l.top] {
+				want = 1000 * uint64(i+1)
+			}
+			var got uint64
+			if l.v.CanInt() {
+				got = uint64(l.v.Int())
+			} else {
+				got = l.v.Uint()
+			}
+			if got != want {
+				t.Errorf("scales %v: %s is %d after Add, want %d", scale, l.path, got, want)
+			}
 		}
 	}
 }

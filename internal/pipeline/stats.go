@@ -129,6 +129,39 @@ type Stats struct {
 	LLRFBankConflicts int64 `json:"llrf_bank_conflicts"`
 }
 
+// Add folds o into s, as a sampled run folds its intervals into one
+// result: counters add, and the high-water marks MaxLLIBInstrs and
+// MaxLLIBRegs take the larger value.
+func (s *Stats) Add(o *Stats) {
+	s.Cycles += o.Cycles
+	s.Committed += o.Committed
+	s.Fetched += o.Fetched
+	s.Branches += o.Branches
+	s.Mispredicts += o.Mispredicts
+	for i := range s.LoadLevel {
+		s.LoadLevel[i] += o.LoadLevel[i]
+	}
+	s.StallROBFull += o.StallROBFull
+	s.StallIQFull += o.StallIQFull
+	s.StallLSQFull += o.StallLSQFull
+	for i := range s.IssueLat.Buckets {
+		s.IssueLat.Buckets[i] += o.IssueLat.Buckets[i]
+	}
+	s.IssueLat.Total += o.IssueLat.Total
+	s.IssueLat.SumCycles += o.IssueLat.SumCycles
+	s.CPCommitted += o.CPCommitted
+	s.MPCommitted += o.MPCommitted
+	for i := range s.MaxLLIBInstrs {
+		s.MaxLLIBInstrs[i] = max(s.MaxLLIBInstrs[i], o.MaxLLIBInstrs[i])
+		s.MaxLLIBRegs[i] = max(s.MaxLLIBRegs[i], o.MaxLLIBRegs[i])
+	}
+	s.LLIBFullStalls += o.LLIBFullStalls
+	s.AnalyzeWaitStalls += o.AnalyzeWaitStalls
+	s.Checkpoints += o.Checkpoints
+	s.Recoveries += o.Recoveries
+	s.LLRFBankConflicts += o.LLRFBankConflicts
+}
+
 // IPC returns committed instructions per cycle.
 func (s *Stats) IPC() float64 {
 	if s.Cycles == 0 {

@@ -3,6 +3,8 @@ package predictor
 import (
 	"encoding/binary"
 	"fmt"
+
+	"dkip/internal/binread"
 )
 
 // Stateful is implemented by predictors whose trained state can be
@@ -21,70 +23,11 @@ type Stateful interface {
 	LoadState(data []byte) error
 }
 
-// putU32/putU64 append little-endian integers; the readers below mirror them.
-func putU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func putU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-
-type stateReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-func (r *stateReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+4 > len(r.data) {
-		r.err = fmt.Errorf("predictor: truncated state at byte %d", r.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.data[r.pos:])
-	r.pos += 4
-	return v
-}
-
-func (r *stateReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos+8 > len(r.data) {
-		r.err = fmt.Errorf("predictor: truncated state at byte %d", r.pos)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.data[r.pos:])
-	r.pos += 8
-	return v
-}
-
-func (r *stateReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.pos+n > len(r.data) {
-		r.err = fmt.Errorf("predictor: truncated state at byte %d", r.pos)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *stateReader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.pos != len(r.data) {
-		return fmt.Errorf("predictor: %d trailing state bytes", len(r.data)-r.pos)
-	}
-	return nil
-}
-
 // SaveState snapshots the perceptron's weights and global history.
 func (p *Perceptron) SaveState() ([]byte, error) {
 	b := make([]byte, 0, 8+len(p.weights)*(p.histLen+1)*2+p.histLen)
-	b = putU32(b, uint32(len(p.weights)))
-	b = putU32(b, uint32(p.histLen))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.weights)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.histLen))
 	// Weights are int16: encode each as its 2-byte two's-complement form.
 	for _, w := range p.weights {
 		for _, v := range w {
@@ -100,16 +43,16 @@ func (p *Perceptron) SaveState() ([]byte, error) {
 // LoadState restores a snapshot taken by SaveState. The perceptron must have
 // the same geometry; the per-prediction memo is invalidated.
 func (p *Perceptron) LoadState(data []byte) error {
-	r := &stateReader{data: data}
-	entries, histLen := r.u32(), r.u32()
-	if r.err == nil && (int(entries) != len(p.weights) || int(histLen) != p.histLen) {
+	r := binread.New(data)
+	entries, histLen := r.U32(), r.U32()
+	if r.Err() == nil && (int(entries) != len(p.weights) || int(histLen) != p.histLen) {
 		return fmt.Errorf("predictor: perceptron state geometry %d×%d does not match %d×%d",
 			entries, histLen, len(p.weights), p.histLen)
 	}
-	raw := r.bytes(int(entries) * (int(histLen) + 1) * 2)
-	hist := r.bytes(int(histLen))
-	if err := r.done(); err != nil {
-		return err
+	raw := r.Bytes(int(entries) * (int(histLen) + 1) * 2)
+	hist := r.Bytes(int(histLen))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("predictor: perceptron state: %w", err)
 	}
 	for i, w := range p.weights {
 		row := raw[i*(p.histLen+1)*2:]
@@ -127,23 +70,23 @@ func (p *Perceptron) LoadState(data []byte) error {
 // SaveState snapshots the gshare counters and history register.
 func (g *Gshare) SaveState() ([]byte, error) {
 	b := make([]byte, 0, 12+len(g.table))
-	b = putU32(b, uint32(len(g.table)))
-	b = putU64(b, g.history)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(g.table)))
+	b = binary.LittleEndian.AppendUint64(b, g.history)
 	b = append(b, g.table...)
 	return b, nil
 }
 
 // LoadState restores a snapshot taken by SaveState into a same-sized gshare.
 func (g *Gshare) LoadState(data []byte) error {
-	r := &stateReader{data: data}
-	entries := r.u32()
-	hist := r.u64()
-	if r.err == nil && int(entries) != len(g.table) {
+	r := binread.New(data)
+	entries := r.U32()
+	hist := r.U64()
+	if r.Err() == nil && int(entries) != len(g.table) {
 		return fmt.Errorf("predictor: gshare state has %d entries, want %d", entries, len(g.table))
 	}
-	tab := r.bytes(int(entries))
-	if err := r.done(); err != nil {
-		return err
+	tab := r.Bytes(int(entries))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("predictor: gshare state: %w", err)
 	}
 	copy(g.table, tab)
 	g.history = hist & ((1 << g.bits) - 1)
@@ -153,21 +96,21 @@ func (g *Gshare) LoadState(data []byte) error {
 // SaveState snapshots the bimodal counter table.
 func (b *Bimodal) SaveState() ([]byte, error) {
 	out := make([]byte, 0, 4+len(b.table))
-	out = putU32(out, uint32(len(b.table)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.table)))
 	out = append(out, b.table...)
 	return out, nil
 }
 
 // LoadState restores a snapshot taken by SaveState into a same-sized bimodal.
 func (b *Bimodal) LoadState(data []byte) error {
-	r := &stateReader{data: data}
-	entries := r.u32()
-	if r.err == nil && int(entries) != len(b.table) {
+	r := binread.New(data)
+	entries := r.U32()
+	if r.Err() == nil && int(entries) != len(b.table) {
 		return fmt.Errorf("predictor: bimodal state has %d entries, want %d", entries, len(b.table))
 	}
-	tab := r.bytes(int(entries))
-	if err := r.done(); err != nil {
-		return err
+	tab := r.Bytes(int(entries))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("predictor: bimodal state: %w", err)
 	}
 	copy(b.table, tab)
 	return nil
@@ -212,7 +155,7 @@ func (s *Stats) LoadState(data []byte) error {
 // SaveState snapshots the confidence estimator's counter table.
 func (c *Confidence) SaveState() ([]byte, error) {
 	out := make([]byte, 0, 4+len(c.table))
-	out = putU32(out, uint32(len(c.table)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.table)))
 	out = append(out, c.table...)
 	return out, nil
 }
@@ -220,14 +163,14 @@ func (c *Confidence) SaveState() ([]byte, error) {
 // LoadState restores a snapshot taken by SaveState into a same-sized
 // estimator.
 func (c *Confidence) LoadState(data []byte) error {
-	r := &stateReader{data: data}
-	entries := r.u32()
-	if r.err == nil && int(entries) != len(c.table) {
+	r := binread.New(data)
+	entries := r.U32()
+	if r.Err() == nil && int(entries) != len(c.table) {
 		return fmt.Errorf("predictor: confidence state has %d entries, want %d", entries, len(c.table))
 	}
-	tab := r.bytes(int(entries))
-	if err := r.done(); err != nil {
-		return err
+	tab := r.Bytes(int(entries))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("predictor: confidence state: %w", err)
 	}
 	copy(c.table, tab)
 	return nil

@@ -446,46 +446,10 @@ func (f *flights) join() error {
 		if iv.err != nil {
 			return iv.err
 		}
-		accumulate(&f.agg, iv.st)
+		f.agg.Add(iv.st)
 		f.cpis = append(f.cpis, float64(iv.st.Cycles)/float64(iv.st.Committed))
 	}
 	return nil
-}
-
-// accumulate folds one interval's stats into the aggregate: counters add,
-// high-water marks take the max.
-func accumulate(agg, st *pipeline.Stats) {
-	agg.Cycles += st.Cycles
-	agg.Committed += st.Committed
-	agg.Fetched += st.Fetched
-	agg.Branches += st.Branches
-	agg.Mispredicts += st.Mispredicts
-	for i := range agg.LoadLevel {
-		agg.LoadLevel[i] += st.LoadLevel[i]
-	}
-	agg.StallROBFull += st.StallROBFull
-	agg.StallIQFull += st.StallIQFull
-	agg.StallLSQFull += st.StallLSQFull
-	for i := range agg.IssueLat.Buckets {
-		agg.IssueLat.Buckets[i] += st.IssueLat.Buckets[i]
-	}
-	agg.IssueLat.Total += st.IssueLat.Total
-	agg.IssueLat.SumCycles += st.IssueLat.SumCycles
-	agg.CPCommitted += st.CPCommitted
-	agg.MPCommitted += st.MPCommitted
-	for i := range agg.MaxLLIBInstrs {
-		if st.MaxLLIBInstrs[i] > agg.MaxLLIBInstrs[i] {
-			agg.MaxLLIBInstrs[i] = st.MaxLLIBInstrs[i]
-		}
-		if st.MaxLLIBRegs[i] > agg.MaxLLIBRegs[i] {
-			agg.MaxLLIBRegs[i] = st.MaxLLIBRegs[i]
-		}
-	}
-	agg.LLIBFullStalls += st.LLIBFullStalls
-	agg.AnalyzeWaitStalls += st.AnalyzeWaitStalls
-	agg.Checkpoints += st.Checkpoints
-	agg.Recoveries += st.Recoveries
-	agg.LLRFBankConflicts += st.LLRFBankConflicts
 }
 
 func meanStdDev(xs []float64) (mean, sd float64) {

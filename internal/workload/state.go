@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 
+	"dkip/internal/binread"
 	"dkip/internal/isa"
 	"dkip/internal/xrand"
 )
@@ -96,26 +97,26 @@ func (b *Benchmark) SaveState() ([]byte, error) {
 // reach, and then leaves the generator unchanged: every field is checked
 // before any is assigned.
 func (b *Benchmark) LoadState(data []byte) error {
-	r := &stateReader{data: data}
-	if fp := r.u64(); r.err == nil && fp != b.fp {
+	r := binread.New(data)
+	if fp := r.U64(); r.Err() == nil && fp != b.fp {
 		return fmt.Errorf("workload: %s: state was taken from another profile", b.prof.Name)
 	}
 	var words [4]uint64
 	for i := range words {
-		words[i] = r.u64()
+		words[i] = r.U64()
 	}
-	cur, pos := int(r.u32()), int(r.u32())
-	nextInt, nextFP := int(r.u8()), int(r.u8())
-	seqAddr, strideAddr := r.u64(), r.u64()
-	chaseReg, chaseLeft, lastLoadDest := isa.Reg(r.u8()), r.u32(), isa.Reg(r.u8())
-	emitted := r.u64()
-	ringInt := r.bytes(int(r.u8()))
-	ringFP := r.bytes(int(r.u8()))
-	if n := r.u32(); r.err == nil && n != uint32(len(b.blocks)) {
+	cur, pos := int(r.U32()), int(r.U32())
+	nextInt, nextFP := int(r.U8()), int(r.U8())
+	seqAddr, strideAddr := r.U64(), r.U64()
+	chaseReg, chaseLeft, lastLoadDest := isa.Reg(r.U8()), r.U32(), isa.Reg(r.U8())
+	emitted := r.U64()
+	ringInt := r.Bytes(int(r.U8()))
+	ringFP := r.Bytes(int(r.U8()))
+	if n := r.U32(); r.Err() == nil && n != uint32(len(b.blocks)) {
 		return fmt.Errorf("workload: %s: state has %d loop counters for %d blocks", b.prof.Name, n, len(b.blocks))
 	}
-	iter := r.bytes(4 * len(b.blocks))
-	if err := r.done(); err != nil {
+	iter := r.Bytes(4 * len(b.blocks))
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("workload: %s: %w", b.prof.Name, err)
 	}
 
@@ -191,54 +192,4 @@ func (w *writers) load(raw []byte) {
 	for i := len(raw) - 1; i >= 0; i-- {
 		w.push(isa.Reg(raw[i]))
 	}
-}
-
-// stateReader reads a snapshot front to back. The first short read sets
-// err, and every later read returns zero, so a caller checks once.
-type stateReader struct {
-	data []byte
-	pos  int
-	err  error
-}
-
-// bytes returns the next n bytes without copying them.
-func (r *stateReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.data)-r.pos {
-		r.err = fmt.Errorf("state truncated at byte %d", r.pos)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-func (r *stateReader) u8() uint8 {
-	if b := r.bytes(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *stateReader) u32() uint32 {
-	if b := r.bytes(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *stateReader) u64() uint64 {
-	if b := r.bytes(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *stateReader) done() error {
-	if r.err == nil && r.pos != len(r.data) {
-		r.err = fmt.Errorf("%d trailing state bytes", len(r.data)-r.pos)
-	}
-	return r.err
 }
