@@ -16,6 +16,11 @@
 // BENCH_baseline.json artifact (see .github/workflows/ci.yml and the README
 // "Performance" section).
 //
+// Each arch also records what a fresh simulation pays before its first
+// cycle: the time, allocations and bytes of building the engine and warming
+// its caches over the workload's ranges (NewEngine plus Hierarchy.Warm),
+// averaged over the iterations and measured apart from the runs.
+//
 // Each entry records GOMAXPROCS and the host's CPU count: the engine
 // generates instructions on a goroutine beside the cycle loop, so
 // throughput depends on whether a second CPU is free, and only entries
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"dkip/internal/sim"
+	"dkip/internal/workload"
 )
 
 // archResult is one architecture's measurement.
@@ -43,6 +49,11 @@ type archResult struct {
 	InstrsPerSec float64 `json:"instrs_per_sec"`
 	AllocsPerOp  uint64  `json:"allocs_per_op"`
 	BytesPerOp   uint64  `json:"bytes_per_op"`
+	// Set-up per simulation: NewEngine plus Hierarchy.Warm. Absent from
+	// entries written before it was recorded.
+	SetupNSPerOp     int64  `json:"setup_ns_per_op,omitempty"`
+	SetupAllocsPerOp uint64 `json:"setup_allocs_per_op,omitempty"`
+	SetupBytesPerOp  uint64 `json:"setup_bytes_per_op,omitempty"`
 }
 
 // snapshot is one labeled benchmark run. GOMAXPROCS and NumCPU are absent
@@ -106,6 +117,11 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "bench: %s: %.0f instrs/s over %d iterations (GOMAXPROCS %d, %d CPUs)\n",
 		*label, snap.TotalInstrsPerSec, *iters, snap.GOMAXPROCS, snap.NumCPU)
+	for _, name := range measureOrder(specs) {
+		a := snap.Archs[name]
+		fmt.Fprintf(os.Stderr, "bench: %s set-up: %.3f ms, %d allocs, %d KB per simulation\n",
+			name, float64(a.SetupNSPerOp)/1e6, a.SetupAllocsPerOp, a.SetupBytesPerOp>>10)
+	}
 }
 
 // measureArch simulates spec iters times through an uncached runner,
@@ -133,7 +149,7 @@ func measureArch(spec sim.RunSpec, iters int) (archResult, error) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	return archResult{
+	res := archResult{
 		Bench:        spec.Bench,
 		Iterations:   iters,
 		Instrs:       instrs,
@@ -141,7 +157,27 @@ func measureArch(spec sim.RunSpec, iters int) (archResult, error) {
 		InstrsPerSec: float64(instrs) / elapsed.Seconds(),
 		AllocsPerOp:  (after.Mallocs - before.Mallocs) / uint64(iters),
 		BytesPerOp:   (after.TotalAlloc - before.TotalAlloc) / uint64(iters),
-	}, nil
+	}
+	res.SetupNSPerOp, res.SetupAllocsPerOp, res.SetupBytesPerOp = measureSetup(spec, iters)
+	return res, nil
+}
+
+// measureSetup builds spec's engine and warms its caches over the
+// workload's ranges iters times, as every fresh simulation does before its
+// first cycle, and returns the time, allocations and bytes per set-up.
+func measureSetup(spec sim.RunSpec, iters int) (ns int64, allocs, bytes uint64) {
+	ranges := workload.MustNew(spec.Bench).WarmRanges()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for i := 0; i < iters; i++ {
+		spec.NewEngine().Hierarchy().Warm(ranges)
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	n := uint64(iters)
+	return elapsed.Nanoseconds() / int64(iters), (after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n
 }
 
 // writeSnapshot merges the labeled snapshot into the JSON file (or prints

@@ -208,11 +208,13 @@ func (c Config) Params() engine.Params {
 		LSQSize:         c.LSQSize,
 		MemPorts:        c.MemPorts,
 		MSHRs:           c.MSHRs,
-		// The window must span the seq range between the oldest live
-		// low-locality instruction and rename; give it ample slack beyond
-		// the structural occupancy bound (rename interlocks on the
-		// horizon).
-		WindowCap:      c.ROBSize + 2*c.LLIBSize + 2*c.MPIQSize + 8192,
+		// The window spans the sequence numbers from the horizon (the
+		// oldest possibly live instruction) to rename: the Aging-ROB, both
+		// LLIBs and both Memory Processors' queues, and 64 more entries
+		// of slack. Rename interlocks on this spread plus the fetch queue
+		// (New's spreadCap), which the engine adds to the arena, so no
+		// two live instructions share a window slot.
+		WindowCap:      c.ROBSize + 2*c.LLIBSize + 2*c.MPIQSize + 64,
 		Mem:            c.Mem,
 		NewPredictor:   c.NewPredictor,
 		WithConfidence: true,
@@ -237,11 +239,28 @@ func (c Config) Validate() error {
 	if c.LLRFBanks <= 0 || c.LLRFBankSize <= 0 {
 		return fmt.Errorf("core: %s: LLRF geometry must be positive", c.Name)
 	}
+	if c.LLRFBanks > MaxLLRFBanks {
+		return fmt.Errorf("core: %s: LLRFBanks %d is over the limit of %d (core.MaxLLRFBanks)", c.Name, c.LLRFBanks, MaxLLRFBanks)
+	}
+	if err := engine.CheckArena(c, "ROBSize", "LLIBSize", "MPIQSize"); err != nil {
+		return fmt.Errorf("core: %s: %w", c.Name, err)
+	}
+	if err := c.CPFU.Check(); err != nil {
+		return fmt.Errorf("core: %s: CPFU: %w", c.Name, err)
+	}
+	if err := c.MPFU.Check(); err != nil {
+		return fmt.Errorf("core: %s: MPFU: %w", c.Name, err)
+	}
 	if err := c.Mem.OrDefault().Validate(); err != nil {
 		return fmt.Errorf("core: %s: %w", c.Name, err)
 	}
 	return nil
 }
+
+// MaxLLRFBanks bounds LLRFBanks: the LLRF marks the banks written in the
+// current cycle in a 32-bit mask, so a bank beyond the 32nd would never
+// conflict.
+const MaxLLRFBanks = 32
 
 // Bool is a helper for the MPInOrder pointer field.
 func Bool(v bool) *bool { return &v }

@@ -46,7 +46,8 @@ type Processor struct {
 	ckptSeqs       []uint64 // live recovery points, oldest first
 
 	// spreadCap bounds RenameSeq-Horizon: the checkpointed speculative
-	// state cannot exceed the machine's structural resources.
+	// state cannot exceed the machine's structural resources. It is the
+	// window arena's minimum size (New), so the arena is sized by it.
 	spreadCap int
 }
 
@@ -69,7 +70,18 @@ func New(cfg Config) *Processor {
 	p.mpFP = p.NewIssueQueue(pipeline.QMPFP, cfg.MPIQSize, *cfg.MPInOrder, 0)
 	p.mpFUI = pipeline.NewFUPool(cfg.MPFU)
 	p.mpFUF = pipeline.NewFUPool(cfg.MPFU)
-	p.spreadCap = cfg.ROBSize + 2*cfg.LLIBSize + 2*cfg.MPIQSize + len(p.FQ) + 64
+	// Rename admits an instruction only while RenameSeq-Horizon stays
+	// below spreadCap, the arena's minimum size (Params.WindowCap plus the
+	// fetch queue, which Init sized the window from), so the live
+	// sequence numbers, those at or above Horizon, never share a slot.
+	// Every other lookup the D-KIP makes is of a stale sequence number: a
+	// producer link, a consumer or an issue-queue entry that left. The
+	// horizon passed it because it was Done (and so Issued), or because
+	// its slot already held a younger instruction; either way its check
+	// (Seq != seq, Done, Issued) gives the same answer whether or not its
+	// slot was reused since. So any arena of at least spreadCap entries
+	// simulates the same machine, and the smallest power of two is used.
+	p.spreadCap = p.P.WindowCap + len(p.FQ)
 	return p
 }
 

@@ -119,6 +119,55 @@ func checkNonNegative(v reflect.Value, prefix string) error {
 	return nil
 }
 
+// MaxArena bounds the instructions one engine holds at once: its window
+// arena's minimum size (Params.WindowCap plus the fetch queue) plus its
+// runahead depth. A window entry, a DynInst with its four preallocated
+// consumer slots, takes 168 bytes, and the arena rounds up to a power of
+// two of at most MaxArena entries, so the limit allows a window of 336 MiB,
+// and a fetch queue (56 bytes an entry) and runahead buffer (32 bytes an
+// instruction) of 112 MiB more. The largest arenas the repository builds,
+// KILO-1024's and the D-KIP's with 4,096-entry LLIBs, hold 16,384 entries.
+const MaxArena = 1 << 21
+
+// CheckArena returns an error when an engine of cfg would hold more than
+// MaxArena instructions. fields name cfg's integer fields that its Params
+// sums into WindowCap; each is bounded on its own first, and so are the
+// Params fields the fetch queue and the runahead buffer grow with, before
+// any sum or product is formed, so none can wrap.
+func CheckArena(cfg Config, fields ...string) error {
+	v := reflect.ValueOf(cfg)
+	for _, name := range fields {
+		if err := checkSize(name, v.FieldByName(name).Int()); err != nil {
+			return err
+		}
+	}
+	p := cfg.Params()
+	for _, f := range [...]struct {
+		name string
+		n    int
+	}{{"FetchWidth", p.FetchWidth}, {"FrontEndDepth", p.FrontEndDepth}, {"RunaheadDepth", p.RunaheadDepth}} {
+		if err := checkSize(f.name, int64(f.n)); err != nil {
+			return err
+		}
+	}
+	fq := p.fetchQueueLen()
+	if n := p.WindowCap + fq + p.RunaheadDepth; n > MaxArena {
+		return fmt.Errorf("an arena of %d instructions (window %d, fetch queue %d, runahead %d) is over the limit of %d (engine.MaxArena)",
+			n, p.WindowCap, fq, p.RunaheadDepth, MaxArena)
+	}
+	return nil
+}
+
+func checkSize(name string, n int64) error {
+	if n > MaxArena {
+		return fmt.Errorf("%s %d is over the limit of %d (engine.MaxArena)", name, n, MaxArena)
+	}
+	return nil
+}
+
+// fetchQueueLen is the fetch queue's size: FetchWidth × (FrontEndDepth + 2).
+func (p Params) fetchQueueLen() int { return p.FetchWidth * (p.FrontEndDepth + 2) }
+
 // FetchEntry is one instruction buffered between fetch and rename.
 type FetchEntry struct {
 	In         isa.Instr
@@ -231,7 +280,7 @@ const (
 func (e *Engine) Init(p Params, m Model) {
 	e.P = p
 	e.model = m
-	e.FQ = make([]FetchEntry, p.FetchWidth*(p.FrontEndDepth+2))
+	e.FQ = make([]FetchEntry, p.fetchQueueLen())
 	e.Win = pipeline.NewWindow(p.WindowCap + len(e.FQ))
 	e.SB = pipeline.NewScoreboard()
 	e.Hier = mem.NewHierarchy(p.Mem)

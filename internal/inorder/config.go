@@ -141,8 +141,8 @@ func (c Config) Validate() error {
 	if c.Window < c.QueueSize {
 		return fmt.Errorf("inorder: %s: Window %d smaller than QueueSize %d", c.Name, c.Window, c.QueueSize)
 	}
-	if c.Window > 1<<16 {
-		return fmt.Errorf("inorder: %s: Window %d unreasonably large", c.Name, c.Window)
+	if err := engine.CheckArena(c, "Window"); err != nil {
+		return fmt.Errorf("inorder: %s: %w", c.Name, err)
 	}
 	if err := c.Mem.OrDefault().Validate(); err != nil {
 		return fmt.Errorf("inorder: %s: %w", c.Name, err)

@@ -60,16 +60,27 @@ func NewCache(name string, size, line, assoc int) *Cache {
 	return c
 }
 
+// MaxCacheLines bounds the lines of one cache, the ways NewCache allocates
+// a tag, a valid flag and an LRU clock for: 17 bytes a line, so 68 MiB of
+// state at the limit, which a 256 MiB cache of 64-byte lines reaches. The
+// largest cache the repository builds, the 4 MiB L2 of Figures 11 and 12,
+// has 65,536 lines.
+const MaxCacheLines = 1 << 22
+
 // checkGeometry reports why NewCache cannot build a cache, or nil.
 func checkGeometry(name string, size, line, assoc int) error {
 	if size <= 0 || line <= 0 || assoc <= 0 {
 		return fmt.Errorf("cache %q: non-positive geometry (size=%d line=%d assoc=%d)", name, size, line, assoc)
 	}
-	if size%(line*assoc) != 0 {
-		return fmt.Errorf("cache %q: size %d not divisible by line*assoc %d", name, size, line*assoc)
+	// Bounding line and assoc by size first keeps line*assoc from wrapping.
+	if line > size || assoc > size/line || size%(line*assoc) != 0 {
+		return fmt.Errorf("cache %q: size %d not divisible by line %d × assoc %d", name, size, line, assoc)
 	}
 	if !powerOfTwo(size) || !powerOfTwo(line) || !powerOfTwo(assoc) {
 		return fmt.Errorf("cache %q: geometry must be powers of two", name)
+	}
+	if lines := size / line; lines > MaxCacheLines {
+		return fmt.Errorf("cache %q: %d lines are over the limit of %d (mem.MaxCacheLines)", name, lines, MaxCacheLines)
 	}
 	return nil
 }
@@ -154,6 +165,36 @@ func (c *Cache) Access(addr uint64) bool {
 	c.tags[victim] = tag
 	c.lru[victim] = c.clock
 	return false
+}
+
+// empty reports whether no way of the cache is valid; a nil cache (a
+// perfect or absent level) holds nothing.
+func (c *Cache) empty() bool {
+	if c == nil {
+		return true
+	}
+	for _, v := range c.valid {
+		if v {
+			return false
+		}
+	}
+	return true
+}
+
+// fill places addr's line as a demand miss would, for a walk in which every
+// access misses: the clock ticks and the line takes way taken[set] mod assoc
+// of its set, which is the first invalid way while the set has one and its
+// least recently used way after. taken counts the lines each set took so
+// far. Access statistics are not counted.
+func (c *Cache) fill(addr uint64, taken []uint32) {
+	c.clock++
+	line := addr >> c.setShift
+	set := line & c.setMask
+	w := int(set)*c.assoc + int(taken[set]&uint32(c.assoc-1))
+	taken[set]++
+	c.tags[w] = line >> c.tagShift
+	c.valid[w] = true
+	c.lru[w] = c.clock
 }
 
 // MissRate returns misses/accesses, or 0 before any access.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -132,5 +133,24 @@ func TestCacheResidencyAfterSequentialFill(t *testing.T) {
 	}
 	if c.Misses != 0 {
 		t.Errorf("sequential refill missed %d times; LRU should retain a full sequential set", c.Misses)
+	}
+}
+
+// checkGeometry refuses a line × assoc product that would wrap, and a cache
+// of more than MaxCacheLines lines, with an error rather than a panic, so
+// Config.Validate can report them.
+func TestCheckGeometryBounds(t *testing.T) {
+	for _, c := range []struct {
+		size, line, assoc int
+		want              string
+	}{
+		{32 << 10, 1 << 32, 1 << 32, "not divisible"}, // line × assoc wraps to 0
+		{1 << 40, 64, 2, "mem.MaxCacheLines"},
+		{MaxCacheLines * 64, 64, 2, ""},
+	} {
+		err := checkGeometry("c", c.size, c.line, c.assoc)
+		if (err == nil) != (c.want == "") || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("checkGeometry(%d, %d, %d) = %v, want an error naming %q", c.size, c.line, c.assoc, err, c.want)
+		}
 	}
 }

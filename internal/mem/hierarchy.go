@@ -318,42 +318,106 @@ func (h *Hierarchy) ResetStats() {
 // state a long-running program would have established. Ranges are walked in
 // order, so later ranges win the capacity contest, as a program's hottest
 // data would.
+//
+// Without the prefetcher, each range is first cut to its last max(L1, L2)
+// bytes, which leaves the same state. When, in addition, no way of either
+// level is valid yet and no two of the cut ranges share a line, every access
+// of the walk would miss at every level it reaches, so Warm fills each line
+// straight into those levels instead of sending it through their hit and
+// victim scans: the line takes the way a miss into an LRU set takes, and
+// the state is the walk's, byte for byte. Otherwise (a warm cache, a shared
+// line, or the prefetcher on) Warm walks the lines through Access.
 func (h *Hierarchy) Warm(ranges [][2]uint64) {
 	if h.l1 == nil {
 		h.ResetStats() // perfect L1: no cache state to establish
 		return
 	}
 	line := uint64(h.cfg.LineSize)
-	// A sequential walk of unique lines leaves only the tail of each range
-	// resident: any window of sets×assoc consecutive lines touches every
-	// set exactly assoc times, fully displacing whatever was there, with
-	// LRU order equal to walk order. Walking just the last max(L1,L2)
-	// bytes therefore produces the identical final state, so a multi-MB
-	// footprint warms in O(cache size) instead of O(footprint). The
-	// shortcut is off when the prefetcher is on: prefetch fills follow a
-	// miss cadence whose phase depends on the walk's start line, so
-	// truncation could perturb per-set LRU order.
-	keep := uint64(0)
-	if h.cfg.PrefetchDegree == 0 {
-		keep = uint64(h.l1.Size())
-		if h.l2 != nil && uint64(h.l2.Size()) > keep {
-			keep = uint64(h.l2.Size())
+	var l1Taken, l2Taken []uint32
+	if h.fillsDirectly(ranges) {
+		l1Taken = make([]uint32, h.l1.numSets)
+		if h.l2 != nil {
+			l2Taken = make([]uint32, h.l2.numSets)
 		}
 	}
 	for _, r := range ranges {
-		base, size := r[0], r[1]
-		if keep > 0 && size > keep {
-			// Skip whole lines only: the truncated walk must visit a
-			// suffix of exactly the addresses the full walk would, or a
-			// size that is not a line multiple would phase-shift every
-			// remaining access onto different lines.
-			cut := (size - keep) / line * line
-			base += cut
-			size -= cut
-		}
+		base, size := h.warmSpan(r)
 		for a := base; a < base+size; a += line {
-			h.Access(a)
+			if l1Taken == nil {
+				h.Access(a)
+				continue
+			}
+			h.l1.fill(a, l1Taken)
+			if h.l2 != nil {
+				h.l2.fill(a, l2Taken)
+			}
 		}
 	}
 	h.ResetStats()
+}
+
+// warmSpan returns the part of r that Warm walks. A sequential walk of
+// unique lines leaves only the tail of each range resident: any window of
+// sets×assoc consecutive lines touches every set exactly assoc times, fully
+// displacing whatever was there, with LRU order equal to walk order. Walking
+// just the last max(L1,L2) bytes therefore produces the identical final
+// state, so a multi-MB footprint warms in O(cache size) instead of
+// O(footprint). The cut is off when the prefetcher is on: prefetch fills
+// follow a miss cadence whose phase depends on the walk's start line, so
+// truncation could perturb per-set LRU order.
+func (h *Hierarchy) warmSpan(r [2]uint64) (base, size uint64) {
+	base, size = r[0], r[1]
+	if h.cfg.PrefetchDegree != 0 {
+		return base, size
+	}
+	keep := uint64(h.l1.Size())
+	if h.l2 != nil && uint64(h.l2.Size()) > keep {
+		keep = uint64(h.l2.Size())
+	}
+	if size > keep {
+		// Skip whole lines only: the truncated walk must visit a suffix
+		// of exactly the addresses the full walk would, or a size that is
+		// not a line multiple would phase-shift every remaining access
+		// onto different lines.
+		line := uint64(h.cfg.LineSize)
+		cut := (size - keep) / line * line
+		base += cut
+		size -= cut
+	}
+	return base, size
+}
+
+// fillsDirectly reports whether every access of Warm's walk over ranges
+// would miss at every level: the prefetcher is off, no way of either level
+// is valid, and no two walked spans share a line. A span's lines are the
+// ones the walk visits: from base's line, one per step of a line while the
+// address stays below base+size, which is ceil(size/line) lines and on an
+// unaligned base can stop a line short of the span's last byte. A span
+// whose end wraps counts as shared.
+func (h *Hierarchy) fillsDirectly(ranges [][2]uint64) bool {
+	if h.cfg.PrefetchDegree != 0 || !h.l1.empty() || !h.l2.empty() {
+		return false
+	}
+	line := uint64(h.cfg.LineSize)
+	// span returns the lines the walk visits in r as [first, first+n).
+	span := func(r [2]uint64) (first, n uint64, wraps bool) {
+		base, size := h.warmSpan(r)
+		if size == 0 {
+			return 0, 0, false
+		}
+		return base / line, (size-1)/line + 1, base+size < base
+	}
+	for i, r := range ranges {
+		first, n, wraps := span(r)
+		if wraps {
+			return false
+		}
+		for _, o := range ranges[:i] {
+			oFirst, oN, _ := span(o)
+			if n > 0 && oN > 0 && first < oFirst+oN && oFirst < first+n {
+				return false
+			}
+		}
+	}
+	return true
 }

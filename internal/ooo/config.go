@@ -171,11 +171,14 @@ func (c Config) Validate() error {
 	if c.ROBSize <= 0 {
 		return fmt.Errorf("ooo: %s: ROBSize must be positive", c.Name)
 	}
-	if c.ROBSize > 1<<20 {
-		return fmt.Errorf("ooo: %s: ROBSize %d unreasonably large", c.Name, c.ROBSize)
-	}
 	if c.SLIQSize > 0 && c.InOrder {
 		return fmt.Errorf("ooo: %s: the SLIQ requires out-of-order primary queues", c.Name)
+	}
+	if err := engine.CheckArena(c, "ROBSize", "SLIQSize"); err != nil {
+		return fmt.Errorf("ooo: %s: %w", c.Name, err)
+	}
+	if err := c.FU.Check(); err != nil {
+		return fmt.Errorf("ooo: %s: FU: %w", c.Name, err)
 	}
 	if err := c.Mem.OrDefault().Validate(); err != nil {
 		return fmt.Errorf("ooo: %s: %w", c.Name, err)

@@ -1,6 +1,10 @@
 package pipeline
 
-import "dkip/internal/isa"
+import (
+	"fmt"
+
+	"dkip/internal/isa"
+)
 
 // FUConfig gives the number of functional units per class, mirroring
 // Table 2: 4 ALUs, 1 integer multiplier, 4 FP adders, 1 FP multiplier/divider.
@@ -34,6 +38,20 @@ type FUPool struct {
 	usedFPAdd   int
 	usedFPMul   int
 	divBusyTill []int64 // per FPMulDiv unit
+}
+
+// MaxFPMulDiv bounds FUConfig.FPMulDiv, the one unit count a pool
+// allocates by: it keeps a busy-until cycle per FP multiplier/divider and
+// scans them on every FP multiply and divide. Table 2 has one; the limit
+// studies have four.
+const MaxFPMulDiv = 64
+
+// Check reports a unit count NewFUPool cannot build a pool from, or nil.
+func (c FUConfig) Check() error {
+	if c.FPMulDiv > MaxFPMulDiv {
+		return fmt.Errorf("FPMulDiv %d is over the limit of %d (pipeline.MaxFPMulDiv)", c.FPMulDiv, MaxFPMulDiv)
+	}
+	return nil
 }
 
 // NewFUPool builds a pool from the configuration. Zero-valued unit counts

@@ -38,3 +38,15 @@ func BenchmarkPredictUpdate(b *testing.B) {
 		})
 	}
 }
+
+var sinkPerceptron *Perceptron
+
+// BenchmarkNewPerceptron measures building the D-KIP's and the out-of-order
+// machines' predictor, 4,096 perceptrons over 24 history bits, which every
+// fresh simulation of those machines pays.
+func BenchmarkNewPerceptron(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkPerceptron = NewPerceptron(4096, 24)
+	}
+}

@@ -10,8 +10,10 @@ package predictor
 // weights when the prediction was wrong or the output magnitude was below the
 // threshold θ = ⌊1.93·h + 14⌋, the value derived in the original paper.
 type Perceptron struct {
-	weights [][]int16 // [table entry][history bit + bias]
-	history []int8    // global history as ±1 values, index 0 = most recent
+	// weights holds every perceptron in one table, row by row: entry i's
+	// bias and history weights are weights[i*(histLen+1) : (i+1)*(histLen+1)].
+	weights []int16
+	history []int8 // global history as ±1 values, index 0 = most recent
 	histLen int
 	mask    uint64
 	theta   int32
@@ -39,10 +41,7 @@ func NewPerceptron(entries, histLen int) *Perceptron {
 		mask:    uint64(n - 1),
 		theta:   int32(1.93*float64(histLen) + 14),
 	}
-	p.weights = make([][]int16, n)
-	for i := range p.weights {
-		p.weights[i] = make([]int16, histLen+1)
-	}
+	p.weights = make([]int16, n*(histLen+1))
 	p.history = make([]int8, histLen)
 	p.Reset()
 	return p
@@ -53,8 +52,18 @@ func (p *Perceptron) HistoryLength() int { return p.histLen }
 
 func (p *Perceptron) index(pc uint64) uint64 { return (pc >> 2) & p.mask }
 
+// row returns the weights of perceptron idx: the bias, then one weight per
+// history bit.
+func (p *Perceptron) row(idx uint64) []int16 {
+	n := uint64(p.histLen + 1)
+	return p.weights[idx*n : idx*n+n]
+}
+
+// entries returns the number of perceptrons.
+func (p *Perceptron) entries() int { return len(p.weights) / (p.histLen + 1) }
+
 func (p *Perceptron) output(idx uint64) int32 {
-	w := p.weights[idx]
+	w := p.row(idx)
 	y := int32(w[0]) // bias sees a constant +1 input
 	for i := 0; i < p.histLen; i++ {
 		y += int32(w[i+1]) * int32(p.history[i])
@@ -96,7 +105,7 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 		mag = -mag
 	}
 	if predTaken != taken || mag <= p.theta {
-		w := p.weights[idx]
+		w := p.row(idx)
 		w[0] = clampWeight(int32(w[0]) + t)
 		for i := 0; i < p.histLen; i++ {
 			w[i+1] = clampWeight(int32(w[i+1]) + t*int32(p.history[i]))
@@ -126,11 +135,7 @@ func (p *Perceptron) Name() string { return "perceptron" }
 
 // Reset zeroes weights and sets the history to all not-taken.
 func (p *Perceptron) Reset() {
-	for _, w := range p.weights {
-		for i := range w {
-			w[i] = 0
-		}
-	}
+	clear(p.weights)
 	for i := range p.history {
 		p.history[i] = -1
 	}

@@ -25,14 +25,13 @@ type Stateful interface {
 
 // SaveState snapshots the perceptron's weights and global history.
 func (p *Perceptron) SaveState() ([]byte, error) {
-	b := make([]byte, 0, 8+len(p.weights)*(p.histLen+1)*2+p.histLen)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.weights)))
+	b := make([]byte, 0, 8+len(p.weights)*2+p.histLen)
+	b = binary.LittleEndian.AppendUint32(b, uint32(p.entries()))
 	b = binary.LittleEndian.AppendUint32(b, uint32(p.histLen))
-	// Weights are int16: encode each as its 2-byte two's-complement form.
-	for _, w := range p.weights {
-		for _, v := range w {
-			b = append(b, byte(uint16(v)), byte(uint16(v)>>8))
-		}
+	// Weights are int16, row by row: encode each as its 2-byte
+	// two's-complement form.
+	for _, v := range p.weights {
+		b = binary.LittleEndian.AppendUint16(b, uint16(v))
 	}
 	for _, h := range p.history {
 		b = append(b, byte(h))
@@ -45,20 +44,17 @@ func (p *Perceptron) SaveState() ([]byte, error) {
 func (p *Perceptron) LoadState(data []byte) error {
 	r := binread.New(data)
 	entries, histLen := r.U32(), r.U32()
-	if r.Err() == nil && (int(entries) != len(p.weights) || int(histLen) != p.histLen) {
+	if r.Err() == nil && (int(entries) != p.entries() || int(histLen) != p.histLen) {
 		return fmt.Errorf("predictor: perceptron state geometry %d×%d does not match %d×%d",
-			entries, histLen, len(p.weights), p.histLen)
+			entries, histLen, p.entries(), p.histLen)
 	}
 	raw := r.Bytes(int(entries) * (int(histLen) + 1) * 2)
 	hist := r.Bytes(int(histLen))
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("predictor: perceptron state: %w", err)
 	}
-	for i, w := range p.weights {
-		row := raw[i*(p.histLen+1)*2:]
-		for j := range w {
-			w[j] = int16(uint16(row[2*j]) | uint16(row[2*j+1])<<8)
-		}
+	for i := range p.weights {
+		p.weights[i] = int16(binary.LittleEndian.Uint16(raw[2*i:]))
 	}
 	for i := range p.history {
 		p.history[i] = int8(hist[i])

@@ -216,6 +216,35 @@ func TestSubmitRejectsUnbuildableMachine(t *testing.T) {
 	servesAfterRejects(t, ts, runner)
 }
 
+// A machine too large to build is a bad spec, not a crash: a D-KIP with
+// 2^40-entry LLIBs, a KILO-1024 with a 2^40-entry SLIQ, an R10-64 whose
+// 2^40-cycle front end would need a 246 TB fetch queue, a 1 TiB L2 and 64
+// LLRF banks get a 400 naming the limit, and the daemon keeps serving.
+func TestSubmitRejectsOversizedMachine(t *testing.T) {
+	ts, runner := newTestServer(t, nil)
+	for name, c := range map[string]struct{ body, limit string }{
+		"dkip LLIBSize 2^40":        {`{"arch":"dkip","bench":"swim","warmup":500,"measure":2000,"dkip":{"LLIBSize":1099511627776}}`, "engine.MaxArena"},
+		"kilo SLIQSize 2^40":        {`{"arch":"ooo","bench":"swim","warmup":500,"measure":2000,"ooo":{"Name":"KILO-1024","ROBSize":64,"IQSize":72,"LSQSize":512,"SLIQSize":1099511627776}}`, "engine.MaxArena"},
+		"r10-64 FrontEndDepth 2^40": {`{"arch":"ooo","bench":"swim","warmup":500,"measure":2000,"ooo":{"Name":"R10-64","ROBSize":64,"IQSize":40,"LSQSize":512,"FrontEndDepth":1099511627776}}`, "engine.MaxArena"},
+		"dkip L2Size 2^40":          {`{"arch":"dkip","bench":"swim","warmup":500,"measure":2000,"dkip":{"Mem":{"L1Size":32768,"L1Latency":2,"L2Size":1099511627776,"L2Latency":11,"MemLatency":400}}}`, "mem.MaxCacheLines"},
+		"dkip LLRFBanks 64":         {`{"arch":"dkip","bench":"swim","warmup":500,"measure":2000,"dkip":{"LLRFBanks":64}}`, "core.MaxLLRFBanks"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(string(msg), c.limit) {
+			t.Errorf("%s: error %q does not name the limit (%s)", name, msg, c.limit)
+		}
+	}
+	servesAfterRejects(t, ts, runner)
+}
+
 // servesAfterRejects submits a valid spec to a daemon that has so far only
 // rejected submissions: it must be served, and be the only simulation.
 func servesAfterRejects(t *testing.T, ts *httptest.Server, runner *sim.Runner) {

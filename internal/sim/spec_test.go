@@ -224,6 +224,65 @@ func TestValidateRejectsNegativeFields(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsSizes sets each field a constructor sizes an
+// allocation by to 1<<40 on each preset, one at a time: Validate must refuse
+// it with an error naming the limit it is over. No engine is built from
+// these specs: before the limits, Validate accepted most of them, and the
+// constructor then attempted the allocation (a 246 TB fetch queue for
+// R10-64's FrontEndDepth).
+func TestValidateBoundsSizes(t *testing.T) {
+	sizing := map[Arch][]string{
+		ArchDKIP:    {"FetchWidth", "FrontEndDepth", "ROBSize", "LLIBSize", "MPIQSize", "LLRFBanks", "CPFU.FPMulDiv", "MPFU.FPMulDiv", "Mem.L1Size", "Mem.L2Size"},
+		ArchOOO:     {"FetchWidth", "FrontEndDepth", "ROBSize", "SLIQSize", "RunaheadDepth", "FU.FPMulDiv", "Mem.L1Size", "Mem.L2Size"},
+		ArchInorder: {"FetchWidth", "FrontEndDepth", "Window", "Mem.L1Size", "Mem.L2Size"},
+	}
+	limits := map[string]string{
+		"LLRFBanks":     "core.MaxLLRFBanks",
+		"CPFU.FPMulDiv": "pipeline.MaxFPMulDiv",
+		"MPFU.FPMulDiv": "pipeline.MaxFPMulDiv",
+		"FU.FPMulDiv":   "pipeline.MaxFPMulDiv",
+		"Mem.L1Size":    "mem.MaxCacheLines",
+		"Mem.L2Size":    "mem.MaxCacheLines",
+	}
+	configField := map[Arch]string{ArchOOO: "OOO", ArchDKIP: "DKIP", ArchInorder: "Inorder"}
+	checked := 0
+	for _, preset := range PresetNames() {
+		base := MustPresetSpec(preset, "swim", 1000, 4000)
+		// Defaults first, so that a memory field set below is not
+		// replaced by the default memory.
+		switch base.Arch {
+		case ArchDKIP:
+			base.DKIP = base.DKIP.WithDefaults()
+		case ArchOOO:
+			base.OOO = base.OOO.WithDefaults()
+		case ArchInorder:
+			base.Inorder = base.Inorder.WithDefaults()
+		}
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: preset rejected: %v", preset, err)
+		}
+		for _, name := range sizing[base.Arch] {
+			spec := base
+			f := reflect.ValueOf(&spec).Elem().FieldByName(configField[base.Arch])
+			for _, part := range strings.Split(name, ".") {
+				f = f.FieldByName(part)
+			}
+			f.SetInt(1 << 40)
+			limit := limits[name]
+			if limit == "" {
+				limit = "engine.MaxArena"
+			}
+			if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), limit) {
+				t.Errorf("%s with %s 1<<40: Validate returned %v, want an error naming %s", preset, name, err, limit)
+			}
+			checked++
+		}
+	}
+	if checked != 47 {
+		t.Errorf("checked %d preset fields, want 47", checked)
+	}
+}
+
 // TestValidateBoundsRunLength rejects the two run lengths that broke the
 // engine's arithmetic: a measure so long that the cycle budget wrapped to
 // its floor, and a warmup+measure sum that wrapped to a tiny run.
